@@ -1,13 +1,13 @@
-// Executor comparison: the pipelined Volcano engine versus the
-// materializing evaluator, on optimized plans at increasing scale. Also
-// measures per-operator pipeline overheads.
+// Executor comparison: the batch executor versus the materializing
+// evaluator, on optimized plans at increasing scale. Also measures
+// per-operator pipeline overheads.
 
 #include <benchmark/benchmark.h>
 
 #include "algebra/eval.h"
 #include "common/check.h"
 #include "exec/build.h"
-#include "exec/operators.h"
+#include "relational/index.h"
 #include "testing/datagen.h"
 
 namespace fro {
@@ -43,62 +43,60 @@ BENCHMARK(BM_MaterializingEval)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_PipelinedExec(benchmark::State& state) {
+void BM_BatchedExec(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    Relation out = ExecutePipelined(f.plan, *f.db);
+    Relation out = ExecuteBatched(f.plan, *f.db);
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_PipelinedExec)
+BENCHMARK(BM_BatchedExec)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 // Pipelines can stop early without paying for the full result: take the
-// first row of a large join. The materializing evaluator must compute
+// first batch of a large join. The materializing evaluator must compute
 // everything.
-void BM_Pipelined_FirstRowOnly(benchmark::State& state) {
+void BM_Batched_FirstBatchOnly(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    IteratorPtr root = BuildIterator(f.plan, *f.db);
+    BatchIteratorPtr root = BuildBatchIterator(f.plan, *f.db);
     root->Open();
-    Tuple tuple;
-    bool got = root->Next(&tuple);
+    TupleBatch batch;
+    bool got = root->NextBatch(&batch);
     FRO_CHECK(got);
     root->Close();
-    benchmark::DoNotOptimize(tuple);
+    benchmark::DoNotOptimize(batch);
   }
 }
-BENCHMARK(BM_Pipelined_FirstRowOnly)
+BENCHMARK(BM_Batched_FirstBatchOnly)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 // Counter-instrumentation overhead: the same pipeline with wall-clock
-// timing enabled on every operator. Compare against BM_PipelinedExec
+// timing enabled on every operator. Compare against BM_BatchedExec
 // (counters only, timing off — the default) to price the instrumentation;
 // the counters themselves should stay within a few percent of free.
-void BM_PipelinedExec_Timed(benchmark::State& state) {
+void BM_BatchedExec_Timed(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    IteratorPtr root = BuildIterator(f.plan, *f.db);
+    BatchIteratorPtr root = BuildBatchIterator(f.plan, *f.db);
     root->EnableTiming();
-    Relation out = Drain(root.get());
+    Relation out = DrainBatches(root.get());
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_PipelinedExec_Timed)
+BENCHMARK(BM_BatchedExec_Timed)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Nested-loop pipeline emitting one output row per Next() call: the case
-// where rebuilding the joined scheme on every Next (the bug this release
-// fixes) was pure per-row overhead. R2 -> R3 is one-to-one, so n rows
-// stream through the join.
+// Nested-loop pipeline streaming n output rows: R2 -> R3 is one-to-one,
+// so per-row join overhead dominates.
 void BM_NestedLoopManyRows(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto db = MakeExample1Database(n);
@@ -106,7 +104,7 @@ void BM_NestedLoopManyRows(benchmark::State& state) {
       Expr::Leaf(db->Rel("R2"), *db), Expr::Leaf(db->Rel("R3"), *db),
       EqCols(db->Attr("R2", "fk"), db->Attr("R3", "k")));
   for (auto _ : state) {
-    Relation out = ExecutePipelined(q, *db, JoinAlgo::kNestedLoop);
+    Relation out = ExecuteBatched(q, *db, JoinAlgo::kNestedLoop);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -116,8 +114,7 @@ BENCHMARK(BM_NestedLoopManyRows)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-// Same shape through the hash join, where the hoisted scheme matters most:
-// every one of the n output rows used to pay a scheme rebuild.
+// Same shape through the hash join.
 void BM_HashJoinManyRows(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto db = MakeExample1Database(n);
@@ -125,7 +122,7 @@ void BM_HashJoinManyRows(benchmark::State& state) {
       Expr::Leaf(db->Rel("R2"), *db), Expr::Leaf(db->Rel("R3"), *db),
       EqCols(db->Attr("R2", "fk"), db->Attr("R3", "k")));
   for (auto _ : state) {
-    Relation out = ExecutePipelined(q, *db);
+    Relation out = ExecuteBatched(q, *db);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -140,7 +137,7 @@ void BM_ExecutorsAgree(benchmark::State& state) {
   Fixture f = MakeFixture(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     bool equal =
-        BagEquals(Eval(f.plan, *f.db), ExecutePipelined(f.plan, *f.db));
+        BagEquals(Eval(f.plan, *f.db), ExecuteBatched(f.plan, *f.db));
     FRO_CHECK(equal);
     benchmark::DoNotOptimize(equal);
   }
@@ -156,7 +153,7 @@ void BM_ScanFilterPipeline(benchmark::State& state) {
       Expr::Leaf(db->Rel("R2"), *db),
       CmpLit(CmpOp::kLt, db->Attr("R2", "k"), Value::Int(n / 2)));
   for (auto _ : state) {
-    Relation out = ExecutePipelined(q, *db);
+    Relation out = ExecuteBatched(q, *db);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -167,7 +164,7 @@ BENCHMARK(BM_ScanFilterPipeline)
     ->Unit(benchmark::kMillisecond);
 
 // Hash-index probe paths: allocating a fresh key vector per probe versus
-// borrowing a reused scratch buffer (the HashJoinIterator probe loop).
+// borrowing a reused scratch buffer (the hash join's generic probe loop).
 struct ProbeFixture {
   std::unique_ptr<Database> db;
   std::unique_ptr<Relation> rel;

@@ -6,7 +6,7 @@
 #                   cache off vs on (QPS, p50/p99, hit rate)
 #   BENCH_PR6.json  bench_parallel — morsel-driven parallel scaling at
 #                   1/2/4/8 workers (records hardware_concurrency)
-#   BENCH_PR7.json  bench_batch — tuple vs (columnar) batch engine on
+#   BENCH_PR7.json  bench_batch — columnar batch executor throughput on
 #                   scan/filter/hash-join pipelines (streaming +
 #                   materializing; median of >=5 reps with min/max)
 #   BENCH_PR8.json  bench_wcoj — leapfrog multiway join vs the best

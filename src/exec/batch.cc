@@ -2,16 +2,6 @@
 
 namespace fro {
 
-const char* ExecEngineName(ExecEngine engine) {
-  switch (engine) {
-    case ExecEngine::kTuple:
-      return "tuple";
-    case ExecEngine::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
-
 const ColumnVector* ColumnBatch::Column(size_t pos, size_t* offset) const {
   if (mode_ == Mode::kView && src_cols_ != nullptr) {
     *offset = src_offset_;

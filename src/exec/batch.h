@@ -19,8 +19,8 @@
 // pipelines never hit the lazy paths: scans attach relation columns to
 // their views, filters evaluate kernels over those and narrow the
 // selection in place, and pure equi hash joins emit columns directly —
-// rows are materialized only at engine boundaries (adapters, exchange
-// staging, result drains).
+// rows are materialized only at pipeline boundaries (exchange staging,
+// blocking operators, result drains).
 //
 // Selection-vector semantics are unchanged: when active, only
 // rows at sel[i] are alive; `size()` counts live rows and `selected(i)`
@@ -39,18 +39,6 @@
 #include "relational/tuple.h"
 
 namespace fro {
-
-/// Which execution engine a plan is compiled for. The engines agree on
-/// results and ExecStats counters (asserted operator by operator in
-/// tests/batch_exec_test.cc); they differ only in granularity and speed.
-enum class ExecEngine : uint8_t {
-  /// Tuple-at-a-time Volcano iterators (exec/iterator.h).
-  kTuple,
-  /// Batch-at-a-time iterators (exec/batch_iterator.h). The default.
-  kBatch,
-};
-
-const char* ExecEngineName(ExecEngine engine);
 
 /// A fixed-capacity chunk of rows with an optional selection vector and
 /// interchangeable row/columnar content (see file comment).

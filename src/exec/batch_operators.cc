@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "exec/morsel.h"
 #include "relational/ops.h"
-#include "relational/sort_merge.h"
 
 namespace fro {
 
@@ -31,10 +30,10 @@ Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
   }
   iterator->Close();
   if (control != nullptr) {
-    // One authoritative deadline check at completion: the per-tuple
-    // stride (or per-batch check) may never have read the clock on a
-    // short pipeline, but an armed deadline that has passed must
-    // surface regardless of query size.
+    // One authoritative deadline check at completion: the per-batch
+    // checks may never have read the clock on a short pipeline, but an
+    // armed deadline that has passed must surface regardless of query
+    // size.
     control->ShouldStopBatch();
     FRO_RETURN_IF_ERROR(control->status());
   }
@@ -46,13 +45,9 @@ ExecStats CollectPipelineStats(BatchIterator* root) {
   root->Visit([&](BatchIterator* node, int) {
     if (node->children().empty()) {
       // Scans: their emissions are already charged as reads to their
-      // consumers. A bridge into the tuple engine contributes the wrapped
-      // subtree's pipeline totals instead (its scans are skipped too); an
-      // exchange contributes its worker pipelines' totals plus the shared
-      // build subtrees', each counted once.
-      if (auto* adapter = dynamic_cast<TupleBatchAdapter*>(node)) {
-        totals += CollectPipelineStats(adapter->tuple_child());
-      } else if (auto* exchange = dynamic_cast<BatchExchangeIterator*>(node)) {
+      // consumers. An exchange contributes its worker pipelines' totals
+      // plus the shared build subtrees', each counted once.
+      if (auto* exchange = dynamic_cast<BatchExchangeIterator*>(node)) {
         totals += exchange->CollectWorkerStats();
       }
       return;
@@ -256,10 +251,23 @@ const Scheme& BatchUnionIterator::scheme() const { return out_scheme_; }
 
 // --- Nested-loop join ------------------------------------------------------
 
-namespace {
+JoinMode JoinModeOf(OpKind kind) {
+  switch (kind) {
+    case OpKind::kJoin:
+      return JoinMode::kInner;
+    case OpKind::kOuterJoin:
+      return JoinMode::kLeftOuter;
+    case OpKind::kAntijoin:
+      return JoinMode::kAnti;
+    case OpKind::kSemijoin:
+      return JoinMode::kSemi;
+    default:
+      FRO_CHECK(false) << "not a join-like operator";
+  }
+  return JoinMode::kInner;
+}
 
-Scheme BatchJoinOutScheme(const Scheme& left, const Scheme& right,
-                          JoinMode mode) {
+Scheme JoinOutScheme(const Scheme& left, const Scheme& right, JoinMode mode) {
   switch (mode) {
     case JoinMode::kInner:
     case JoinMode::kLeftOuter:
@@ -271,8 +279,6 @@ Scheme BatchJoinOutScheme(const Scheme& left, const Scheme& right,
   return left;
 }
 
-}  // namespace
-
 BatchNestedLoopJoinIterator::BatchNestedLoopJoinIterator(
     BatchIteratorPtr left, BatchIteratorPtr right, PredicatePtr pred,
     JoinMode mode, size_t batch_capacity)
@@ -280,8 +286,7 @@ BatchNestedLoopJoinIterator::BatchNestedLoopJoinIterator(
       right_(std::move(right)),
       pred_(std::move(pred)),
       mode_(mode),
-      out_scheme_(
-          BatchJoinOutScheme(left_->scheme(), right_->scheme(), mode)),
+      out_scheme_(JoinOutScheme(left_->scheme(), right_->scheme(), mode)),
       joined_scheme_(left_->scheme().Concat(right_->scheme())),
       input_(batch_capacity) {}
 
@@ -382,8 +387,7 @@ BatchHashJoinIterator::BatchHashJoinIterator(
       right_(std::move(right)),
       pred_(std::move(pred)),
       mode_(mode),
-      out_scheme_(
-          BatchJoinOutScheme(left_->scheme(), right_->scheme(), mode)),
+      out_scheme_(JoinOutScheme(left_->scheme(), right_->scheme(), mode)),
       joined_scheme_(left_->scheme().Concat(right_->scheme())),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
@@ -451,7 +455,7 @@ void BatchHashJoinIterator::OpenImpl() {
   // one columnized relation as contiguous unselected views; when every
   // batch fits that pattern the build references the relation (and its
   // shared columnar mirror) instead of copying every tuple. The child is
-  // still drained normally so its ExecStats match the tuple engine's.
+  // still drained normally so its ExecStats match the evaluator's.
   Relation raw(right_->scheme());
   right_->Open();
   TupleBatch scratch;
@@ -859,7 +863,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
         ++match_pos_;
       }
       ++mutable_stats().right_reads;
-      // One predicate check per candidate, same as the tuple engine. When
+      // One predicate check per candidate, as in the kernels. When
       // the predicate is exactly the equi-key conjunction, the probe's
       // normalized-key equality already discharged it (no false
       // positives), so only a residual beyond the keys is re-evaluated.
@@ -993,61 +997,6 @@ void BatchHashJoinIterator::CloseImpl() {
 
 const Scheme& BatchHashJoinIterator::scheme() const { return out_scheme_; }
 
-// --- Sort-merge join -----------------------------------------------------
-
-BatchSortMergeJoinIterator::BatchSortMergeJoinIterator(BatchIteratorPtr left,
-                                                       BatchIteratorPtr right,
-                                                       PredicatePtr pred,
-                                                       JoinMode mode)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      pred_(std::move(pred)),
-      mode_(mode),
-      out_scheme_(
-          BatchJoinOutScheme(left_->scheme(), right_->scheme(), mode)) {}
-
-void BatchSortMergeJoinIterator::OpenImpl() {
-  Relation left_rel = DrainBatches(left_.get());
-  Relation right_rel = DrainBatches(right_.get());
-  KernelStats ks;
-  switch (mode_) {
-    case JoinMode::kInner:
-      result_ = SortMergeJoin(left_rel, right_rel, pred_, &ks);
-      break;
-    case JoinMode::kLeftOuter:
-      result_ = SortMergeLeftOuterJoin(left_rel, right_rel, pred_, &ks);
-      break;
-    case JoinMode::kAnti:
-      result_ = SortMergeAntijoin(left_rel, right_rel, pred_, &ks);
-      break;
-    case JoinMode::kSemi:
-      result_ = SortMergeSemijoin(left_rel, right_rel, pred_, &ks);
-      break;
-  }
-  // The kernel already counted the full output; emissions are counted by
-  // the base class as batches actually stream out.
-  ks.emitted = 0;
-  mutable_stats() += ks;
-  pos_ = 0;
-}
-
-bool BatchSortMergeJoinIterator::NextBatchImpl(TupleBatch* out) {
-  if (pos_ >= result_.NumRows()) return false;
-  while (!out->full() && pos_ < result_.NumRows()) {
-    out->AppendSlot()->AssignFrom(result_.row(pos_++));
-  }
-  return true;
-}
-
-void BatchSortMergeJoinIterator::CloseImpl() {
-  result_ = Relation();
-  pos_ = 0;
-}
-
-const Scheme& BatchSortMergeJoinIterator::scheme() const {
-  return out_scheme_;
-}
-
 // --- Generalized outerjoin ---------------------------------------------
 
 BatchGojIterator::BatchGojIterator(BatchIteratorPtr left,
@@ -1085,72 +1034,5 @@ void BatchGojIterator::CloseImpl() {
 }
 
 const Scheme& BatchGojIterator::scheme() const { return out_scheme_; }
-
-// --- Adapters ----------------------------------------------------------
-
-TupleBatchAdapter::TupleBatchAdapter(IteratorPtr child)
-    : child_(std::move(child)) {
-  FRO_CHECK(child_ != nullptr);
-}
-
-void TupleBatchAdapter::OpenImpl() { child_->Open(); }
-
-bool TupleBatchAdapter::NextBatchImpl(TupleBatch* out) {
-  while (!out->full()) {
-    Tuple* slot = out->PeekSlot();
-    if (!child_->Next(slot)) return !out->empty();
-    out->CommitSlot();
-  }
-  return true;
-}
-
-void TupleBatchAdapter::CloseImpl() { child_->Close(); }
-
-const Scheme& TupleBatchAdapter::scheme() const { return child_->scheme(); }
-
-void TupleBatchAdapter::EnableTiming(bool on) {
-  BatchIterator::EnableTiming(on);
-  child_->EnableTiming(on);
-}
-
-void TupleBatchAdapter::SetControl(ExecControl* control) {
-  BatchIterator::SetControl(control);
-  child_->SetControl(control);
-}
-
-BatchTupleAdapter::BatchTupleAdapter(BatchIteratorPtr child,
-                                     size_t batch_capacity)
-    : child_(std::move(child)), buffer_(batch_capacity) {
-  FRO_CHECK(child_ != nullptr);
-}
-
-void BatchTupleAdapter::OpenImpl() {
-  child_->Open();
-  buffer_.Clear();
-  pos_ = 0;
-}
-
-bool BatchTupleAdapter::NextImpl(Tuple* out) {
-  while (pos_ >= buffer_.size()) {
-    if (!child_->NextBatch(&buffer_)) return false;
-    pos_ = 0;
-  }
-  out->AssignFrom(buffer_.selected(pos_++));
-  return true;
-}
-
-void BatchTupleAdapter::CloseImpl() { child_->Close(); }
-
-const Scheme& BatchTupleAdapter::scheme() const { return child_->scheme(); }
-
-void BatchTupleAdapter::EnableTiming(bool on) {
-  TupleIterator::EnableTiming(on);
-  child_->EnableTiming(on);
-}
-
-void BatchTupleAdapter::SetControl(ExecControl* control) {
-  TupleIterator::SetControl(control);
-  child_->SetControl(control);
-}
 
 }  // namespace fro

@@ -2,96 +2,19 @@
 
 #include "common/check.h"
 #include "exec/batch_operators.h"
-#include "exec/operators.h"
+#include "exec/morsel.h"
 #include "wcoj/leapfrog.h"
 
 namespace fro {
 
 namespace {
 
-JoinMode ModeOf(OpKind kind) {
-  switch (kind) {
-    case OpKind::kJoin:
-      return JoinMode::kInner;
-    case OpKind::kOuterJoin:
-      return JoinMode::kLeftOuter;
-    case OpKind::kAntijoin:
-      return JoinMode::kAnti;
-    case OpKind::kSemijoin:
-      return JoinMode::kSemi;
-    default:
-      FRO_CHECK(false) << "not a join-like operator";
+BatchIteratorPtr Build(const ExprPtr& expr, const Database& db,
+                       const ParallelOptions& options) {
+  if (options.threads > 1 && MorselParallelizable(expr)) {
+    return MakeExchange(expr, db, options);
   }
-  return JoinMode::kInner;
-}
-
-IteratorPtr Build(const ExprPtr& expr, const Database& db, JoinAlgo algo) {
-  IteratorPtr it;
-  switch (expr->kind()) {
-    case OpKind::kLeaf:
-      it = std::make_unique<ScanIterator>(&db.relation(expr->rel()));
-      break;
-    case OpKind::kRestrict:
-      it = std::make_unique<FilterIterator>(Build(expr->left(), db, algo),
-                                            expr->pred());
-      break;
-    case OpKind::kProject:
-      it = std::make_unique<ProjectIterator>(Build(expr->left(), db, algo),
-                                             expr->project_cols(),
-                                             expr->project_dedup());
-      break;
-    case OpKind::kUnion:
-      it = std::make_unique<UnionIterator>(Build(expr->left(), db, algo),
-                                           Build(expr->right(), db, algo));
-      break;
-    case OpKind::kGoj:
-      it = std::make_unique<GojIterator>(Build(expr->left(), db, algo),
-                                         Build(expr->right(), db, algo),
-                                         expr->pred(), expr->goj_subset(),
-                                         algo);
-      break;
-    case OpKind::kMultiwayJoin: {
-      std::vector<IteratorPtr> inputs;
-      inputs.reserve(expr->mj_children().size());
-      for (const ExprPtr& child : expr->mj_children()) {
-        inputs.push_back(Build(child, db, algo));
-      }
-      return MakeLeapfrogIterator(expr, std::move(inputs));
-    }
-    default: {
-      // Join-like: anchor the preserved/kept operand on the left.
-      ExprPtr anchor = expr->left();
-      ExprPtr other = expr->right();
-      if (!expr->preserves_left() && expr->kind() != OpKind::kJoin) {
-        std::swap(anchor, other);
-      }
-      IteratorPtr left = Build(anchor, db, algo);
-      IteratorPtr right = Build(other, db, algo);
-      JoinMode mode = ModeOf(expr->kind());
-      EquiKeys keys =
-          ExtractEquiKeys(expr->pred(), left->scheme(), right->scheme());
-      const bool use_hash =
-          keys.Usable() &&
-          (algo == JoinAlgo::kHash || algo == JoinAlgo::kAuto);
-      if (use_hash) {
-        it = std::make_unique<HashJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode,
-            std::move(keys.left), std::move(keys.right));
-      } else {
-        it = std::make_unique<NestedLoopJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode);
-      }
-      break;
-    }
-  }
-  it->set_source_expr(expr);
-  return it;
-}
-
-// Mirror of Build() for the batch engine: the same physical decisions
-// (operand anchoring, hash vs. nested loop) compiled to batch operators.
-BatchIteratorPtr BuildBatch(const ExprPtr& expr, const Database& db,
-                            JoinAlgo algo, size_t batch_capacity) {
+  const size_t capacity = options.batch_capacity;
   BatchIteratorPtr it;
   switch (expr->kind()) {
     case OpKind::kLeaf:
@@ -100,33 +23,34 @@ BatchIteratorPtr BuildBatch(const ExprPtr& expr, const Database& db,
       break;
     case OpKind::kRestrict:
       it = std::make_unique<BatchFilterIterator>(
-          BuildBatch(expr->left(), db, algo, batch_capacity), expr->pred());
+          Build(expr->left(), db, options), expr->pred());
       break;
     case OpKind::kProject:
       it = std::make_unique<BatchProjectIterator>(
-          BuildBatch(expr->left(), db, algo, batch_capacity),
-          expr->project_cols(), expr->project_dedup(), batch_capacity);
+          Build(expr->left(), db, options), expr->project_cols(),
+          expr->project_dedup(), capacity);
       break;
     case OpKind::kUnion:
       it = std::make_unique<BatchUnionIterator>(
-          BuildBatch(expr->left(), db, algo, batch_capacity),
-          BuildBatch(expr->right(), db, algo, batch_capacity),
-          batch_capacity);
+          Build(expr->left(), db, options), Build(expr->right(), db, options),
+          capacity);
       break;
     case OpKind::kGoj:
       it = std::make_unique<BatchGojIterator>(
-          BuildBatch(expr->left(), db, algo, batch_capacity),
-          BuildBatch(expr->right(), db, algo, batch_capacity), expr->pred(),
-          expr->goj_subset(), algo);
+          Build(expr->left(), db, options), Build(expr->right(), db, options),
+          expr->pred(), expr->goj_subset(), options.algo);
       break;
     case OpKind::kMultiwayJoin: {
+      // Leapfrog runs serially over its trie indexes (no spine to
+      // partition), and so do the operand subplans it drains.
+      ParallelOptions serial = options;
+      serial.threads = 1;
       std::vector<BatchIteratorPtr> inputs;
       inputs.reserve(expr->mj_children().size());
       for (const ExprPtr& child : expr->mj_children()) {
-        inputs.push_back(BuildBatch(child, db, algo, batch_capacity));
+        inputs.push_back(Build(child, db, serial));
       }
-      return MakeBatchLeapfrogIterator(expr, std::move(inputs),
-                                       batch_capacity);
+      return MakeBatchLeapfrogIterator(expr, std::move(inputs), capacity);
     }
     default: {
       // Join-like: anchor the preserved/kept operand on the left.
@@ -135,22 +59,21 @@ BatchIteratorPtr BuildBatch(const ExprPtr& expr, const Database& db,
       if (!expr->preserves_left() && expr->kind() != OpKind::kJoin) {
         std::swap(anchor, other);
       }
-      BatchIteratorPtr left = BuildBatch(anchor, db, algo, batch_capacity);
-      BatchIteratorPtr right = BuildBatch(other, db, algo, batch_capacity);
-      JoinMode mode = ModeOf(expr->kind());
+      BatchIteratorPtr left = Build(anchor, db, options);
+      BatchIteratorPtr right = Build(other, db, options);
+      JoinMode mode = JoinModeOf(expr->kind());
       EquiKeys keys =
           ExtractEquiKeys(expr->pred(), left->scheme(), right->scheme());
       const bool use_hash =
           keys.Usable() &&
-          (algo == JoinAlgo::kHash || algo == JoinAlgo::kAuto);
+          (options.algo == JoinAlgo::kHash || options.algo == JoinAlgo::kAuto);
       if (use_hash) {
         it = std::make_unique<BatchHashJoinIterator>(
             std::move(left), std::move(right), expr->pred(), mode,
-            std::move(keys.left), std::move(keys.right), batch_capacity);
+            std::move(keys.left), std::move(keys.right), capacity);
       } else {
         it = std::make_unique<BatchNestedLoopJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode,
-            batch_capacity);
+            std::move(left), std::move(right), expr->pred(), mode, capacity);
       }
       break;
     }
@@ -161,22 +84,19 @@ BatchIteratorPtr BuildBatch(const ExprPtr& expr, const Database& db,
 
 }  // namespace
 
-IteratorPtr BuildIterator(const ExprPtr& expr, const Database& db,
-                          JoinAlgo algo) {
+BatchIteratorPtr BuildParallelBatchIterator(const ExprPtr& expr,
+                                            const Database& db,
+                                            const ParallelOptions& options) {
   FRO_CHECK(expr != nullptr);
-  return Build(expr, db, algo);
+  return Build(expr, db, options);
 }
 
 BatchIteratorPtr BuildBatchIterator(const ExprPtr& expr, const Database& db,
                                     JoinAlgo algo, size_t batch_capacity) {
-  FRO_CHECK(expr != nullptr);
-  return BuildBatch(expr, db, algo, batch_capacity);
-}
-
-Relation ExecutePipelined(const ExprPtr& expr, const Database& db,
-                          JoinAlgo algo) {
-  IteratorPtr root = BuildIterator(expr, db, algo);
-  return Drain(root.get());
+  ParallelOptions options;
+  options.algo = algo;
+  options.batch_capacity = batch_capacity;
+  return BuildParallelBatchIterator(expr, db, options);
 }
 
 Relation ExecuteBatched(const ExprPtr& expr, const Database& db,

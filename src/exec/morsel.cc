@@ -7,41 +7,12 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "exec/batch_operators.h"
-#include "exec/build.h"
 #include "relational/index.h"
 #include "relational/predicate.h"
 
 namespace fro {
 
 namespace {
-
-JoinMode ModeOfKind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kJoin:
-      return JoinMode::kInner;
-    case OpKind::kOuterJoin:
-      return JoinMode::kLeftOuter;
-    case OpKind::kAntijoin:
-      return JoinMode::kAnti;
-    case OpKind::kSemijoin:
-      return JoinMode::kSemi;
-    default:
-      FRO_CHECK(false) << "not a join-like operator";
-  }
-  return JoinMode::kInner;
-}
-
-Scheme JoinOutScheme(const Scheme& left, const Scheme& right, JoinMode mode) {
-  switch (mode) {
-    case JoinMode::kInner:
-    case JoinMode::kLeftOuter:
-      return left.Concat(right);
-    case JoinMode::kAnti:
-    case JoinMode::kSemi:
-      return left;
-  }
-  return left;
-}
 
 /// Partition of a normalized, null-free probe/build key: a mix of the
 /// per-value structural hashes. Equal keys (post NormalizeHashKeyValue)
@@ -912,20 +883,15 @@ PlanOpStats BatchExchangeIterator::SnapshotMerged() const {
   return merged;
 }
 
-// --- Spine analysis + parallel plan builder --------------------------------
+// --- Spine analysis + exchange assembly ----------------------------------
 
 namespace {
 
-bool JoinLike(OpKind kind) {
-  return kind == OpKind::kJoin || kind == OpKind::kOuterJoin ||
-         kind == OpKind::kAntijoin || kind == OpKind::kSemijoin;
-}
-
 /// The operand the worker pipelines stream: the preserved/kept side of a
-/// join-like (the one the serial builder anchors left), the input of a
+/// join-like (the one the plan builder anchors left), the input of a
 /// restrict/project, the preserved (left) operand of a GOJ.
 const ExprPtr& SpineChild(const ExprPtr& expr) {
-  if (JoinLike(expr->kind())) {
+  if (expr->is_join_like()) {
     const bool spine_is_left =
         expr->kind() == OpKind::kJoin || expr->preserves_left();
     return spine_is_left ? expr->left() : expr->right();
@@ -953,9 +919,6 @@ bool SpineEligible(const ExprPtr& expr) {
       return false;
   }
 }
-
-BatchIteratorPtr BuildParallel(const ExprPtr& expr, const Database& db,
-                               const ParallelOptions& options);
 
 /// Compiles one worker pipeline from the planned spine.
 BatchIteratorPtr BuildWorker(const ExchangeState& state,
@@ -993,9 +956,15 @@ BatchIteratorPtr BuildWorker(const ExchangeState& state,
   return it;
 }
 
-/// Plans the spine of an eligible expression and assembles the exchange.
+}  // namespace
+
+bool MorselParallelizable(const ExprPtr& expr) {
+  return expr != nullptr && SpineEligible(expr);
+}
+
 BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
                               const ParallelOptions& options) {
+  FRO_CHECK(SpineEligible(expr)) << "no parallelizable spine";
   // Collect the spine root-to-leaf, then plan bottom-up so each step sees
   // its input scheme (which must equal the serial left child's scheme —
   // key extraction and hash/NL choice depend on it).
@@ -1031,7 +1000,8 @@ BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
         shared->is_goj = true;
         shared->pred = node->pred();
         shared->goj_subset = node->goj_subset();
-        shared->build_child = BuildParallel(node->right(), db, options);
+        shared->build_child =
+            BuildParallelBatchIterator(node->right(), db, options);
         shared->build_scheme = shared->build_child->scheme();
         EquiKeys keys =
             ExtractEquiKeys(node->pred(), scheme, shared->build_scheme);
@@ -1046,16 +1016,17 @@ BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
         break;
       }
       default: {
-        FRO_CHECK(JoinLike(node->kind()));
+        FRO_CHECK(node->is_join_like());
         step.kind = StepKind::kJoin;
         auto shared = std::make_shared<SharedJoinInput>();
-        shared->mode = ModeOfKind(node->kind());
+        shared->mode = JoinModeOf(node->kind());
         shared->pred = node->pred();
         const bool spine_is_left =
             node->kind() == OpKind::kJoin || node->preserves_left();
         const ExprPtr& off_spine =
             spine_is_left ? node->right() : node->left();
-        shared->build_child = BuildParallel(off_spine, db, options);
+        shared->build_child =
+            BuildParallelBatchIterator(off_spine, db, options);
         shared->build_scheme = shared->build_child->scheme();
         EquiKeys keys =
             ExtractEquiKeys(node->pred(), scheme, shared->build_scheme);
@@ -1078,94 +1049,6 @@ BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
       std::make_unique<BatchExchangeIterator>(std::move(state), options);
   it->set_source_expr(expr);
   return it;
-}
-
-BatchIteratorPtr BuildParallel(const ExprPtr& expr, const Database& db,
-                               const ParallelOptions& options) {
-  if (SpineEligible(expr)) return MakeExchange(expr, db, options);
-  // Serial root over recursively-parallel children: the merged exchange
-  // streams feed an ordinary serial operator.
-  BatchIteratorPtr it;
-  switch (expr->kind()) {
-    case OpKind::kRestrict:
-      it = std::make_unique<BatchFilterIterator>(
-          BuildParallel(expr->left(), db, options), expr->pred());
-      break;
-    case OpKind::kProject:
-      it = std::make_unique<BatchProjectIterator>(
-          BuildParallel(expr->left(), db, options), expr->project_cols(),
-          expr->project_dedup(), options.batch_capacity);
-      break;
-    case OpKind::kUnion:
-      it = std::make_unique<BatchUnionIterator>(
-          BuildParallel(expr->left(), db, options),
-          BuildParallel(expr->right(), db, options), options.batch_capacity);
-      break;
-    case OpKind::kGoj:
-      it = std::make_unique<BatchGojIterator>(
-          BuildParallel(expr->left(), db, options),
-          BuildParallel(expr->right(), db, options), expr->pred(),
-          expr->goj_subset(), options.algo);
-      break;
-    case OpKind::kMultiwayJoin:
-      // Leapfrog runs serially over its trie indexes (no spine to
-      // partition); build the whole subtree with the serial builder.
-      return BuildBatchIterator(expr, db, options.algo,
-                                options.batch_capacity);
-    default: {
-      FRO_CHECK(JoinLike(expr->kind())) << "unexpected operator kind";
-      // Join-like: anchor the preserved/kept operand on the left, as the
-      // serial builders do.
-      ExprPtr anchor = expr->left();
-      ExprPtr other = expr->right();
-      if (!expr->preserves_left() && expr->kind() != OpKind::kJoin) {
-        std::swap(anchor, other);
-      }
-      BatchIteratorPtr left = BuildParallel(anchor, db, options);
-      BatchIteratorPtr right = BuildParallel(other, db, options);
-      JoinMode mode = ModeOfKind(expr->kind());
-      EquiKeys keys =
-          ExtractEquiKeys(expr->pred(), left->scheme(), right->scheme());
-      const bool use_hash =
-          keys.Usable() &&
-          (options.algo == JoinAlgo::kHash || options.algo == JoinAlgo::kAuto);
-      if (use_hash) {
-        it = std::make_unique<BatchHashJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode,
-            std::move(keys.left), std::move(keys.right),
-            options.batch_capacity);
-      } else {
-        it = std::make_unique<BatchNestedLoopJoinIterator>(
-            std::move(left), std::move(right), expr->pred(), mode,
-            options.batch_capacity);
-      }
-      break;
-    }
-  }
-  it->set_source_expr(expr);
-  return it;
-}
-
-}  // namespace
-
-bool MorselParallelizable(const ExprPtr& expr) {
-  return expr != nullptr && SpineEligible(expr);
-}
-
-BatchIteratorPtr BuildParallelBatchIterator(const ExprPtr& expr,
-                                            const Database& db,
-                                            const ParallelOptions& options) {
-  FRO_CHECK(expr != nullptr);
-  if (options.threads <= 1) {
-    return BuildBatchIterator(expr, db, options.algo, options.batch_capacity);
-  }
-  return BuildParallel(expr, db, options);
-}
-
-Relation ExecuteParallelBatched(const ExprPtr& expr, const Database& db,
-                                const ParallelOptions& options) {
-  BatchIteratorPtr root = BuildParallelBatchIterator(expr, db, options);
-  return DrainBatches(root.get());
 }
 
 }  // namespace fro

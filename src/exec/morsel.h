@@ -27,8 +27,8 @@
 // is processed by exactly one worker, so summing a counter across
 // workers (CollectWorkerStats / SnapshotMerged) reproduces the serial
 // totals — EXPLAIN ANALYZE and fro_fuzz's stats-parity checks hold
-// unchanged. With threads <= 1 the builder returns the ordinary serial
-// batch plan, bit-identical to today's engine.
+// unchanged. The plan builder (exec/build.h) places exchanges only when
+// asked for more than one thread; otherwise the plan is serial.
 
 #ifndef FRO_EXEC_MORSEL_H_
 #define FRO_EXEC_MORSEL_H_
@@ -44,6 +44,7 @@
 
 #include "algebra/expr.h"
 #include "exec/batch_iterator.h"
+#include "exec/build.h"
 #include "exec/stats_view.h"
 #include "relational/column.h"
 #include "relational/database.h"
@@ -51,24 +52,6 @@
 #include "relational/relation.h"
 
 namespace fro {
-
-/// Knobs for the parallel plan builder. The defaults parallelize a
-/// 200k-row scan into ~200 morsels; tests and the fuzzer shrink
-/// `morsel_rows`/`batch_capacity` to force cross-morsel and
-/// cross-partition paths on tiny relations.
-struct ParallelOptions {
-  /// Worker pipelines per exchange; <= 1 builds the serial batch plan.
-  int threads = 1;
-  /// Rows per morsel claimed from the shared queue.
-  size_t morsel_rows = 1024;
-  /// TupleBatch capacity of the worker pipelines and the merged stream.
-  size_t batch_capacity = TupleBatch::kDefaultCapacity;
-  /// Join strategy, as in the serial builders.
-  JoinAlgo algo = JoinAlgo::kAuto;
-  /// Exchange buffering: at most `queue_batches * threads` batches parked
-  /// between producers and the consumer before producers block.
-  size_t queue_batches = 4;
-};
 
 /// Work queue over the row range [0, total_rows): workers claim disjoint
 /// morsels with one relaxed fetch_add until the range is exhausted.
@@ -131,7 +114,7 @@ struct ExchangeState;  // morsel.cc: spine steps, shared join inputs, workers
 /// stats rollups instead splice in SnapshotMerged(), a node-wise
 /// cross-worker merge of the spine with each build subtree's snapshot
 /// attached as its join's second child. The exchange node itself is
-/// stats-passthrough, like the engine-bridging adapters.
+/// stats-passthrough.
 class BatchExchangeIterator : public BatchIterator {
  public:
   BatchExchangeIterator(std::unique_ptr<ExchangeState> state,
@@ -183,19 +166,12 @@ class BatchExchangeIterator : public BatchIterator {
 /// preserved/kept operand recursively bottoms out at a base relation.
 bool MorselParallelizable(const ExprPtr& expr);
 
-/// Parallel counterpart of BuildBatchIterator: compiles parallelizable
-/// regions to exchanges over `options.threads` morsel-driven workers and
-/// everything else (unions, deduplicating projections) to the ordinary
-/// serial operators consuming the merged streams. With
-/// `options.threads <= 1` this IS BuildBatchIterator — same objects,
-/// same plan, bit-identical execution.
-BatchIteratorPtr BuildParallelBatchIterator(const ExprPtr& expr,
-                                            const Database& db,
-                                            const ParallelOptions& options);
-
-/// Convenience: build a parallel plan, drain it, return the result.
-Relation ExecuteParallelBatched(const ExprPtr& expr, const Database& db,
-                                const ParallelOptions& options);
+/// Plans the spine of a MorselParallelizable expression and assembles
+/// its exchange over `options.threads` worker pipelines. The build sides
+/// of spine joins are compiled by the plan builder with the same
+/// options. Called by the plan builder; use BuildParallelBatchIterator.
+BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
+                              const ParallelOptions& options);
 
 }  // namespace fro
 

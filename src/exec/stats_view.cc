@@ -1,43 +1,14 @@
 #include "exec/stats_view.h"
 
-#include "exec/batch_operators.h"
 #include "exec/morsel.h"
 
 namespace fro {
 
-namespace {
-
-template <typename Iterator>
-PlanOpStats SnapshotNode(Iterator* node) {
-  PlanOpStats out;
-  out.physical_name = node->physical_name();
-  out.source_expr = node->source_expr();
-  out.stats = node->stats();
-  return out;
-}
-
-}  // namespace
-
-PlanOpStats SnapshotPlanStats(TupleIterator* root) {
-  PlanOpStats out = SnapshotNode(root);
-  if (auto* adapter = dynamic_cast<BatchTupleAdapter*>(root)) {
-    out.passthrough = true;
-    out.children.push_back(SnapshotPlanStats(adapter->batch_child()));
-    return out;
-  }
-  for (TupleIterator* child : root->children()) {
-    out.children.push_back(SnapshotPlanStats(child));
-  }
-  return out;
-}
-
 PlanOpStats SnapshotPlanStats(BatchIterator* root) {
-  PlanOpStats out = SnapshotNode(root);
-  if (auto* adapter = dynamic_cast<TupleBatchAdapter*>(root)) {
-    out.passthrough = true;
-    out.children.push_back(SnapshotPlanStats(adapter->tuple_child()));
-    return out;
-  }
+  PlanOpStats out;
+  out.physical_name = root->physical_name();
+  out.source_expr = root->source_expr();
+  out.stats = root->stats();
   if (auto* exchange = dynamic_cast<BatchExchangeIterator*>(root)) {
     // The exchange forwards merged rows without relational work of its
     // own; its spine, merged node-wise across workers (with the shared

@@ -1,9 +1,9 @@
-// Engine-agnostic plan statistics: a snapshot of an executed operator
-// tree (names, source expressions, counters) detached from the iterators
-// that produced it. EXPLAIN ANALYZE rendering and the server's metrics
-// rollup consume this view, so they work unchanged over the tuple and the
-// batch engine — and over mixed trees bridged by adapters, whose wrapped
-// subtrees are spliced in as ordinary children.
+// Plan statistics: a snapshot of an executed operator tree (names,
+// source expressions, counters) detached from the iterators that
+// produced it. EXPLAIN ANALYZE rendering, the server's metrics rollup,
+// and cardinality feedback consume this view; a morsel-parallel
+// exchange's workers are merged node-wise into it, so consumers see one
+// plan shape whatever the worker count.
 
 #ifndef FRO_EXEC_STATS_VIEW_H_
 #define FRO_EXEC_STATS_VIEW_H_
@@ -13,7 +13,6 @@
 
 #include "algebra/expr.h"
 #include "exec/batch_iterator.h"
-#include "exec/iterator.h"
 #include "relational/exec_stats.h"
 
 namespace fro {
@@ -22,30 +21,26 @@ namespace fro {
 struct PlanOpStats {
   std::string physical_name;
   /// The expression node the operator implements; null for hand-assembled
-  /// pipelines and for engine-bridging adapters.
+  /// pipelines.
   ExprPtr source_expr;
   ExecStats stats;
-  /// True for engine-bridging adapters: they forward rows without doing
-  /// relational work, so pipeline totals skip them (their wrapped subtree
-  /// appears as their only child and is accounted normally).
+  /// True for the morsel exchange: it forwards rows without doing
+  /// relational work, so pipeline totals skip it (its merged spine
+  /// appears as its only child and is accounted normally).
   bool passthrough = false;
   std::vector<PlanOpStats> children;
 
   bool is_source() const { return children.empty(); }
 };
 
-/// Snapshots an executed tuple pipeline. A BatchTupleAdapter contributes
-/// a passthrough node whose child is the wrapped batch subtree.
-PlanOpStats SnapshotPlanStats(TupleIterator* root);
-
-/// Snapshots an executed batch pipeline. A TupleBatchAdapter contributes
-/// a passthrough node whose child is the wrapped tuple subtree.
+/// Snapshots an executed pipeline. A BatchExchangeIterator contributes
+/// a passthrough node whose child is its spine merged across workers.
 PlanOpStats SnapshotPlanStats(BatchIterator* root);
 
 /// Sums the counters of every operator except sources (scans, whose
 /// emissions are charged to their consumers as reads) and passthrough
-/// adapters — the same accounting as CollectPipelineStats, but engine-
-/// agnostic.
+/// nodes — the same accounting as CollectPipelineStats, over a
+/// snapshot.
 ExecStats SumPipelineStats(const PlanOpStats& root);
 
 /// Tuples retrieved from ground relations — Example 1's accounting: each

@@ -15,7 +15,7 @@
 //   if (CheckFreelyReorderable(g)             // 4. Theorem 1
 //           .freely_reorderable()) {
 //     OptimizeOutcome plan = *Optimize(q, db);  // 5. pick any IT: cheapest
-//     Relation out = ExecutePipelined(plan.plan, db);  // 6. run it
+//     Relation out = ExecuteBatched(plan.plan, db);  // 6. run it
 //   }
 //
 // Individual headers remain the canonical documentation; this header just
@@ -38,9 +38,9 @@
 #include "algebra/simplify.h"
 #include "algebra/transform.h"
 
-// Pipelined execution.
+// Batch execution.
+#include "exec/batch_operators.h"
 #include "exec/build.h"
-#include "exec/operators.h"
 
 // Query graphs and the paper's characterizations.
 #include "graph/from_expr.h"

@@ -92,10 +92,75 @@ class Differ {
     }
   }
 
-  void CheckEngines() {
-    if (WantCheck("tuple-engine")) {
-      ExpectOracle("tuple-engine", ExecutePipelined(c_.query, *c_.db));
+  // Counter parity: reads, emitted, probes and predicate evaluations
+  // must agree exactly (wall-clock fields are ignored).
+  void ExpectCounters(const std::string& check, const char* want_label,
+                      const ExecStats& want, const char* got_label,
+                      const ExecStats& got) {
+    ++report_->checks_run;
+    if (want.left_reads == got.left_reads &&
+        want.right_reads == got.right_reads && want.emitted == got.emitted &&
+        want.probes == got.probes &&
+        want.predicate_evals == got.predicate_evals) {
+      return;
     }
+    auto describe = [](const char* label, const ExecStats& s) {
+      return std::string(label) + ": " + s.ToString() + " (left=" +
+             std::to_string(s.left_reads) + " right=" +
+             std::to_string(s.right_reads) + ")";
+    };
+    report_->divergences.push_back(
+        {check, describe(want_label, want) + "\n" + describe(got_label, got)});
+  }
+
+  // The batch pipeline's counters and result against the evaluator's
+  // (EvalStats::totals, the documented counter reference).
+  void CheckEvalParity(const std::string& check, const ExprPtr& plan) {
+    if (!WantCheck(check)) return;
+    EvalStats eval_stats;
+    Relation eval_out = Eval(plan, *c_.db, EvalOptions(), &eval_stats);
+    BatchIteratorPtr root = BuildBatchIterator(plan, *c_.db);
+    Relation batch_out = DrainBatches(root.get());
+    ExpectCounters(check, "eval", eval_stats.totals, "batch",
+                   CollectPipelineStats(root.get()));
+    // The drained results ride along for free.
+    ExpectEqual(check + "-results", eval_out, batch_out);
+  }
+
+  // Morsel-driven parallel pipelines (exec/morsel.h) must agree with the
+  // oracle AND report exactly the serial batch engine's counters at every
+  // worker count. Tiny morsels and batches force real work splitting (and
+  // the GOJ cross-partition padding merge) even on the small relations
+  // fuzz cases generate.
+  void CheckParallelPlan(const std::string& result_prefix,
+                         const std::string& stats_prefix,
+                         const ExprPtr& plan) {
+    for (const int workers : {1, 2, 4}) {
+      const std::string result_check =
+          result_prefix + "-w" + std::to_string(workers);
+      const std::string stats_check =
+          stats_prefix + "-w" + std::to_string(workers);
+      const bool want_result = WantCheck(result_check);
+      const bool want_stats = WantCheck(stats_check);
+      if (!want_result && !want_stats) continue;
+      ParallelOptions par;
+      par.threads = workers;
+      par.morsel_rows = 2;
+      par.batch_capacity = 4;
+      BatchIteratorPtr root = BuildParallelBatchIterator(plan, *c_.db, par);
+      Relation out = DrainBatches(root.get());
+      if (want_result) ExpectOracle(result_check, out);
+      if (want_stats) {
+        BatchIteratorPtr serial = BuildBatchIterator(plan, *c_.db);
+        DrainBatches(serial.get());
+        ExpectCounters(stats_check, "serial",
+                       CollectPipelineStats(serial.get()), "parallel",
+                       CollectPipelineStats(root.get()));
+      }
+    }
+  }
+
+  void CheckEngines() {
     if (WantCheck("batch-engine")) {
       ExpectOracle("batch-engine", ExecuteBatched(c_.query, *c_.db));
     }
@@ -109,88 +174,24 @@ class Differ {
     }
   }
 
-  void CheckStatsParity() {
-    if (!WantCheck("stats-parity")) return;
-    IteratorPtr tuple_root = BuildIterator(c_.query, *c_.db);
-    Relation tuple_out = Drain(tuple_root.get());
-    BatchIteratorPtr batch_root = BuildBatchIterator(c_.query, *c_.db);
-    Relation batch_out = DrainBatches(batch_root.get());
-    ++report_->checks_run;
-    const ExecStats t = CollectPipelineStats(tuple_root.get());
-    const ExecStats b = CollectPipelineStats(batch_root.get());
-    if (t.left_reads != b.left_reads || t.right_reads != b.right_reads ||
-        t.emitted != b.emitted || t.probes != b.probes ||
-        t.predicate_evals != b.predicate_evals) {
-      report_->divergences.push_back(
-          {"stats-parity",
-           "tuple: " + t.ToString() + " (left=" +
-               std::to_string(t.left_reads) + " right=" +
-               std::to_string(t.right_reads) + ")\nbatch: " + b.ToString() +
-               " (left=" + std::to_string(b.left_reads) + " right=" +
-               std::to_string(b.right_reads) + ")"});
-    }
-    // The drained results ride along for free.
-    ExpectEqual("stats-parity-results", tuple_out, batch_out);
-  }
+  void CheckStatsParity() { CheckEvalParity("stats-parity", c_.query); }
 
   void CheckParallel() {
-    // Morsel-driven parallel pipelines (exec/morsel.h) must agree with
-    // the oracle AND report exactly the serial batch engine's counters at
-    // every worker count. Tiny morsels and batches force real work
-    // splitting (and the GOJ cross-partition padding merge) even on the
-    // small relations fuzz cases generate.
-    for (const int workers : {1, 2, 4}) {
-      const std::string result_check =
-          "parallel-engine-w" + std::to_string(workers);
-      const std::string stats_check =
-          "parallel-stats-parity-w" + std::to_string(workers);
-      const bool want_result = WantCheck(result_check);
-      const bool want_stats = WantCheck(stats_check);
-      if (!want_result && !want_stats) continue;
-      ParallelOptions par;
-      par.threads = workers;
-      par.morsel_rows = 2;
-      par.batch_capacity = 4;
-      BatchIteratorPtr root =
-          BuildParallelBatchIterator(c_.query, *c_.db, par);
-      Relation out = DrainBatches(root.get());
-      if (want_result) ExpectOracle(result_check, out);
-      if (want_stats) {
-        BatchIteratorPtr serial = BuildBatchIterator(c_.query, *c_.db);
-        DrainBatches(serial.get());
-        ++report_->checks_run;
-        const ExecStats p = CollectPipelineStats(root.get());
-        const ExecStats s = CollectPipelineStats(serial.get());
-        if (p.left_reads != s.left_reads ||
-            p.right_reads != s.right_reads || p.emitted != s.emitted ||
-            p.probes != s.probes ||
-            p.predicate_evals != s.predicate_evals) {
-          report_->divergences.push_back(
-              {stats_check,
-               "serial: " + s.ToString() + " (left=" +
-                   std::to_string(s.left_reads) + " right=" +
-                   std::to_string(s.right_reads) + ")\nparallel: " +
-                   p.ToString() + " (left=" +
-                   std::to_string(p.left_reads) + " right=" +
-                   std::to_string(p.right_reads) + ")"});
-        }
-      }
-    }
+    CheckParallelPlan("parallel-engine", "parallel-stats-parity", c_.query);
   }
 
   void CheckMultiway() {
     // Forced-multiway plans: collapse every pure-join region into one
     // leapfrog multiway join (semantics-preserving, no cost gate) and
-    // hold the operator to the oracle on both engines, to exact
-    // tuple/batch counter parity, and to the morsel-parallel executor.
+    // hold the operator to the oracle, to counter parity across batch
+    // capacities, and to the morsel-parallel executor. The evaluator's
+    // multiway reference is a filtered cross product that counts
+    // differently, so counters are compared between capacities instead.
     // The cost-gated path is separately covered by CheckOptimizer.
     ExprPtr forced = ForceMultiwayJoins(c_.query);
     if (forced == c_.query) return;  // join-free: nothing new to exercise
     if (WantCheck("wcoj-eval")) {
       ExpectOracle("wcoj-eval", Eval(forced, *c_.db));
-    }
-    if (WantCheck("wcoj-tuple")) {
-      ExpectOracle("wcoj-tuple", ExecutePipelined(forced, *c_.db));
     }
     if (WantCheck("wcoj-batch")) {
       ExpectOracle("wcoj-batch", ExecuteBatched(forced, *c_.db));
@@ -200,77 +201,29 @@ class Differ {
                    ExecuteBatched(forced, *c_.db, JoinAlgo::kAuto, 1));
     }
     if (WantCheck("wcoj-stats-parity")) {
-      IteratorPtr tuple_root = BuildIterator(forced, *c_.db);
-      Relation tuple_out = Drain(tuple_root.get());
+      BatchIteratorPtr cap1_root =
+          BuildBatchIterator(forced, *c_.db, JoinAlgo::kAuto, 1);
+      Relation cap1_out = DrainBatches(cap1_root.get());
       BatchIteratorPtr batch_root = BuildBatchIterator(forced, *c_.db);
       Relation batch_out = DrainBatches(batch_root.get());
-      ++report_->checks_run;
-      const ExecStats t = CollectPipelineStats(tuple_root.get());
-      const ExecStats b = CollectPipelineStats(batch_root.get());
-      if (t.left_reads != b.left_reads || t.right_reads != b.right_reads ||
-          t.emitted != b.emitted || t.probes != b.probes ||
-          t.predicate_evals != b.predicate_evals) {
-        report_->divergences.push_back(
-            {"wcoj-stats-parity",
-             "tuple: " + t.ToString() + " (left=" +
-                 std::to_string(t.left_reads) + " right=" +
-                 std::to_string(t.right_reads) + ")\nbatch: " +
-                 b.ToString() + " (left=" + std::to_string(b.left_reads) +
-                 " right=" + std::to_string(b.right_reads) + ")"});
-      }
-      ExpectEqual("wcoj-stats-parity-results", tuple_out, batch_out);
+      ExpectCounters("wcoj-stats-parity", "batch-cap1",
+                     CollectPipelineStats(cap1_root.get()), "batch",
+                     CollectPipelineStats(batch_root.get()));
+      ExpectEqual("wcoj-stats-parity-results", cap1_out, batch_out);
     }
-    for (const int workers : {1, 2, 4}) {
-      const std::string result_check =
-          "wcoj-parallel-w" + std::to_string(workers);
-      const std::string stats_check =
-          "wcoj-parallel-stats-parity-w" + std::to_string(workers);
-      const bool want_result = WantCheck(result_check);
-      const bool want_stats = WantCheck(stats_check);
-      if (!want_result && !want_stats) continue;
-      ParallelOptions par;
-      par.threads = workers;
-      par.morsel_rows = 2;
-      par.batch_capacity = 4;
-      BatchIteratorPtr root = BuildParallelBatchIterator(forced, *c_.db, par);
-      Relation out = DrainBatches(root.get());
-      if (want_result) ExpectOracle(result_check, out);
-      if (want_stats) {
-        BatchIteratorPtr serial = BuildBatchIterator(forced, *c_.db);
-        DrainBatches(serial.get());
-        ++report_->checks_run;
-        const ExecStats p = CollectPipelineStats(root.get());
-        const ExecStats s = CollectPipelineStats(serial.get());
-        if (p.left_reads != s.left_reads ||
-            p.right_reads != s.right_reads || p.emitted != s.emitted ||
-            p.probes != s.probes ||
-            p.predicate_evals != s.predicate_evals) {
-          report_->divergences.push_back(
-              {stats_check,
-               "serial: " + s.ToString() + " (left=" +
-                   std::to_string(s.left_reads) + " right=" +
-                   std::to_string(s.right_reads) + ")\nparallel: " +
-                   p.ToString() + " (left=" +
-                   std::to_string(p.left_reads) + " right=" +
-                   std::to_string(p.right_reads) + ")"});
-        }
-      }
-    }
+    CheckParallelPlan("wcoj-parallel", "wcoj-parallel-stats-parity", forced);
   }
 
   void CheckAcyclic() {
     // Forced semijoin programs: rewrite every acyclic pure-join region
     // into a fully-reduced Yannakakis program (bottom-up + top-down, no
-    // gates) and hold it to the oracle on both engines, to exact
-    // tuple/batch counter parity, and to the morsel-parallel executor.
-    // The cost-gated path is separately covered by CheckOptimizer.
+    // gates) and hold it to the oracle, to exact counter parity with the
+    // evaluator, and to the morsel-parallel executor. The cost-gated path
+    // is separately covered by CheckOptimizer.
     ExprPtr forced = ForceAcyclicPrograms(c_.query);
     if (forced == c_.query) return;  // no acyclic region: nothing new
     if (WantCheck("acyclic-eval")) {
       ExpectOracle("acyclic-eval", Eval(forced, *c_.db));
-    }
-    if (WantCheck("acyclic-tuple")) {
-      ExpectOracle("acyclic-tuple", ExecutePipelined(forced, *c_.db));
     }
     if (WantCheck("acyclic-batch")) {
       ExpectOracle("acyclic-batch", ExecuteBatched(forced, *c_.db));
@@ -279,63 +232,9 @@ class Differ {
       ExpectOracle("acyclic-batch-cap1",
                    ExecuteBatched(forced, *c_.db, JoinAlgo::kAuto, 1));
     }
-    if (WantCheck("acyclic-stats-parity")) {
-      IteratorPtr tuple_root = BuildIterator(forced, *c_.db);
-      Relation tuple_out = Drain(tuple_root.get());
-      BatchIteratorPtr batch_root = BuildBatchIterator(forced, *c_.db);
-      Relation batch_out = DrainBatches(batch_root.get());
-      ++report_->checks_run;
-      const ExecStats t = CollectPipelineStats(tuple_root.get());
-      const ExecStats b = CollectPipelineStats(batch_root.get());
-      if (t.left_reads != b.left_reads || t.right_reads != b.right_reads ||
-          t.emitted != b.emitted || t.probes != b.probes ||
-          t.predicate_evals != b.predicate_evals) {
-        report_->divergences.push_back(
-            {"acyclic-stats-parity",
-             "tuple: " + t.ToString() + " (left=" +
-                 std::to_string(t.left_reads) + " right=" +
-                 std::to_string(t.right_reads) + ")\nbatch: " +
-                 b.ToString() + " (left=" + std::to_string(b.left_reads) +
-                 " right=" + std::to_string(b.right_reads) + ")"});
-      }
-      ExpectEqual("acyclic-stats-parity-results", tuple_out, batch_out);
-    }
-    for (const int workers : {1, 2, 4}) {
-      const std::string result_check =
-          "acyclic-parallel-w" + std::to_string(workers);
-      const std::string stats_check =
-          "acyclic-parallel-stats-parity-w" + std::to_string(workers);
-      const bool want_result = WantCheck(result_check);
-      const bool want_stats = WantCheck(stats_check);
-      if (!want_result && !want_stats) continue;
-      ParallelOptions par;
-      par.threads = workers;
-      par.morsel_rows = 2;
-      par.batch_capacity = 4;
-      BatchIteratorPtr root = BuildParallelBatchIterator(forced, *c_.db, par);
-      Relation out = DrainBatches(root.get());
-      if (want_result) ExpectOracle(result_check, out);
-      if (want_stats) {
-        BatchIteratorPtr serial = BuildBatchIterator(forced, *c_.db);
-        DrainBatches(serial.get());
-        ++report_->checks_run;
-        const ExecStats p = CollectPipelineStats(root.get());
-        const ExecStats s = CollectPipelineStats(serial.get());
-        if (p.left_reads != s.left_reads ||
-            p.right_reads != s.right_reads || p.emitted != s.emitted ||
-            p.probes != s.probes ||
-            p.predicate_evals != s.predicate_evals) {
-          report_->divergences.push_back(
-              {stats_check,
-               "serial: " + s.ToString() + " (left=" +
-                   std::to_string(s.left_reads) + " right=" +
-                   std::to_string(s.right_reads) + ")\nparallel: " +
-                   p.ToString() + " (left=" +
-                   std::to_string(p.left_reads) + " right=" +
-                   std::to_string(p.right_reads) + ")"});
-        }
-      }
-    }
+    CheckEvalParity("acyclic-stats-parity", forced);
+    CheckParallelPlan("acyclic-parallel", "acyclic-parallel-stats-parity",
+                      forced);
   }
 
   void CheckOptimizer() {
@@ -350,8 +249,6 @@ class Differ {
     }
     if (want_plan) {
       ExpectOracle("optimizer", Eval(outcome->plan, *c_.db));
-      ExpectOracle("optimizer-tuple",
-                   ExecutePipelined(outcome->plan, *c_.db));
       ExpectOracle("optimizer-batch", ExecuteBatched(outcome->plan, *c_.db));
     }
     if (want_cache) {
@@ -388,10 +285,8 @@ class Differ {
     }
     const bool want_replan = WantCheck("feedback-replan");
     const bool want_replay = WantCheck("feedback-replay");
-    const bool want_tuple = WantCheck("feedback-tuple");
     const bool want_batch = WantCheck("feedback-batch");
-    if (!want_replan && !want_replay && !want_tuple && !want_batch &&
-        !want_parallel) {
+    if (!want_replan && !want_replay && !want_batch && !want_parallel) {
       return;
     }
 
@@ -455,51 +350,14 @@ class Differ {
       }
     }
     // Feedback may steer plan choice only — never results or counters:
-    // the re-planned query must match the oracle on every engine, with
-    // parallel counters identical to the serial batch pipeline's.
-    if (want_tuple) {
-      ExpectOracle("feedback-tuple", ExecutePipelined(second->plan, *c_.db));
-    }
+    // the re-planned query must match the oracle, serially and in
+    // parallel, with parallel counters identical to the serial batch
+    // pipeline's.
     if (want_batch) {
       ExpectOracle("feedback-batch", ExecuteBatched(second->plan, *c_.db));
     }
-    for (const int workers : {1, 2, 4}) {
-      const std::string result_check =
-          "feedback-parallel-w" + std::to_string(workers);
-      const std::string stats_check =
-          "feedback-parallel-stats-parity-w" + std::to_string(workers);
-      const bool want_result = WantCheck(result_check);
-      const bool want_stats = WantCheck(stats_check);
-      if (!want_result && !want_stats) continue;
-      ParallelOptions par;
-      par.threads = workers;
-      par.morsel_rows = 2;
-      par.batch_capacity = 4;
-      BatchIteratorPtr root =
-          BuildParallelBatchIterator(second->plan, *c_.db, par);
-      Relation out = DrainBatches(root.get());
-      if (want_result) ExpectOracle(result_check, out);
-      if (want_stats) {
-        BatchIteratorPtr serial = BuildBatchIterator(second->plan, *c_.db);
-        DrainBatches(serial.get());
-        ++report_->checks_run;
-        const ExecStats p = CollectPipelineStats(root.get());
-        const ExecStats s = CollectPipelineStats(serial.get());
-        if (p.left_reads != s.left_reads ||
-            p.right_reads != s.right_reads || p.emitted != s.emitted ||
-            p.probes != s.probes ||
-            p.predicate_evals != s.predicate_evals) {
-          report_->divergences.push_back(
-              {stats_check,
-               "serial: " + s.ToString() + " (left=" +
-                   std::to_string(s.left_reads) + " right=" +
-                   std::to_string(s.right_reads) + ")\nparallel: " +
-                   p.ToString() + " (left=" +
-                   std::to_string(p.left_reads) + " right=" +
-                   std::to_string(p.right_reads) + ")"});
-        }
-      }
-    }
+    CheckParallelPlan("feedback-parallel", "feedback-parallel-stats-parity",
+                      second->plan);
   }
 
   void CheckClosure() {

@@ -4,18 +4,17 @@
 //
 // Result checks (bag equality against the oracle):
 //   eval-nl / eval-hash    the materializing evaluator, both kernels
-//   tuple-engine           the Volcano pipeline
-//   batch-engine[-capN]    the vectorized pipeline at several capacities
+//   batch-engine[-capN]    the batch pipeline at several capacities
 //   parallel-engine-wN     the morsel-driven parallel pipeline at N
 //                          workers (tiny morsels force real splitting)
 //   wcoj-*                 forced multiway plans (every pure-join region
-//                          collapsed to a leapfrog join) on every
-//                          engine, with counter parity
+//                          collapsed to a leapfrog join) through the
+//                          evaluator, the batch pipeline, and the
+//                          parallel pipeline
 //   acyclic-*              forced Yannakakis semijoin programs (every
 //                          acyclic pure-join region fully reduced,
-//                          bottom-up + top-down, no gates) on every
-//                          engine, with counter parity
-//   optimizer[-plan]       the plan Optimize() picks, on both engines
+//                          bottom-up + top-down, no gates), likewise
+//   optimizer[-batch]      the plan Optimize() picks
 //   plan-cache             a second Optimize through an LruPlanCache must
 //                          hit and replay an equal-result plan
 //   feedback-replan        one closed feedback loop (optimizer/feedback.h):
@@ -24,9 +23,9 @@
 //                          must claim exactly one re-plan
 //   feedback-replay        and the lookup after that must replay the
 //                          re-planned entry from cache (no thrash)
-//   feedback-tuple/batch   the feedback-corrected re-plan ≡ oracle on
-//                          both engines (feedback steers plan choice
-//                          only, never results)
+//   feedback-batch         the feedback-corrected re-plan ≡ oracle
+//                          (feedback steers plan choice only, never
+//                          results)
 //   feedback-parallel-wN   ... and on the parallel pipeline at N workers,
 //                          with serial-batch counter parity
 //                          (feedback-parallel-stats-parity-wN)
@@ -35,12 +34,16 @@
 //   it-enum                on freely-reorderable graphs, every
 //                          implementing tree (count-capped) — Theorem 1
 //
-// Counter parity:
-//   stats-parity           tuple and batch pipelines must report
-//                          identical ExecStats totals (reads, emitted,
-//                          probes, predicate evaluations)
-//   parallel-stats-parity-wN  the N-worker parallel pipeline must report
-//                          exactly the serial batch engine's totals
+// Counter parity (reads, emitted, probes, predicate evaluations):
+//   stats-parity           the batch pipeline must report the evaluator's
+//                          EvalStats::totals (the counter reference)
+//   acyclic-stats-parity   likewise for the forced semijoin program
+//   wcoj-stats-parity      the forced multiway plan at batch capacity 1
+//                          must report the default capacity's totals
+//                          (the evaluator's multiway reference is a cross
+//                          product and counts differently)
+//   *parallel-stats-parity-wN  the N-worker parallel pipeline must report
+//                          exactly the serial batch pipeline's totals
 //
 // Metamorphic checks (transform the *query*, re-run the oracle, compare
 // with the oracle on the original):
@@ -79,7 +82,7 @@ struct DiffOptions {
   /// Exercise plan-cache replay.
   bool plan_cache = true;
   /// Exercise the cardinality-feedback loop (execute, persist actuals,
-  /// re-plan, verify the corrected plan on every engine).
+  /// re-plan, verify the corrected plan serially and in parallel).
   bool feedback = true;
 };
 

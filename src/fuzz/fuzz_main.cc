@@ -6,7 +6,9 @@
 //   fro_fuzz --case-seed X             run exactly one case seed
 //   fro_fuzz --replay FILE             replay a tests/corpus/*.case file
 //   fro_fuzz --nested N [--server]     N full-stack Section 5 cases
-//                                      (parser -> session), optionally
+//                                      (parser -> optimizer -> session,
+//                                      checked against the unoptimized
+//                                      translation), optionally
 //                                      round-tripped through a live TCP
 //                                      server
 //
@@ -23,7 +25,7 @@
 #include <string>
 
 #include "common/rng.h"
-#include "exec/batch.h"
+#include "lang/lang.h"
 #include "fuzz/case_gen.h"
 #include "fuzz/corpus.h"
 #include "fuzz/differential.h"
@@ -162,9 +164,11 @@ int RunReplay(const FuzzArgs& args) {
   return report.ok() ? 0 : 1;
 }
 
-// Full-stack Section 5 cases: the same query text served by the tuple-
-// and batch-engine sessions must agree; with --server it must also
-// round-trip unchanged through a live TCP server.
+// Full-stack Section 5 cases: the optimized run of each query text must
+// bag-equal the unoptimized translation (the translator's implementing
+// tree executed as is) and the session must answer it; with --server the
+// session's response must also round-trip unchanged through a live TCP
+// server.
 int RunNestedCases(const FuzzArgs& args) {
   int failures = 0;
   for (int i = 0; i < args.nested; ++i) {
@@ -174,25 +178,32 @@ int RunNestedCases(const FuzzArgs& args) {
     GeneratedNestedQuery generated =
         GenerateRandomNestedQuery(gen_options, &rng);
 
-    SessionOptions tuple_options;
-    tuple_options.engine = ExecEngine::kTuple;
-    QuerySession tuple_session(&generated.db, nullptr, nullptr,
-                               tuple_options);
-    QuerySession batch_session(&generated.db, nullptr, nullptr);
+    Result<QueryRunResult> reference =
+        RunQuery(generated.db, generated.query_text,
+                 RunOptions().WithOptimize(false));
+    Result<QueryRunResult> optimized =
+        RunQuery(generated.db, generated.query_text);
+    QuerySession session(&generated.db, nullptr, nullptr);
     Request request;
     request.verb = Verb::kQuery;
     request.argument = generated.query_text;
-    Response tuple_response = tuple_session.Execute(request, nullptr);
-    Response batch_response = batch_session.Execute(request, nullptr);
+    Response local = session.Execute(request, nullptr);
     bool diverged = false;
-    if (tuple_response.status.ok() != batch_response.status.ok() ||
-        tuple_response.body != batch_response.body) {
+    if (reference.ok() != optimized.ok() ||
+        reference.ok() != local.status.ok() ||
+        (reference.ok() &&
+         !BagEquals(reference->relation, optimized->relation))) {
       std::printf(
-          "FAIL nested-seed 0x%llx engines disagree\nquery: %s\n"
-          "tuple: %s\nbatch: %s\n",
+          "FAIL nested-seed 0x%llx optimized run disagrees with the "
+          "unoptimized translation\nquery: %s\nreference: %s\n"
+          "optimized: %s\nsession: %s\n",
           static_cast<unsigned long long>(case_seed),
-          generated.query_text.c_str(), tuple_response.body.c_str(),
-          batch_response.body.c_str());
+          generated.query_text.c_str(),
+          reference.ok() ? CanonicalString(reference->relation).c_str()
+                         : reference.status().ToString().c_str(),
+          optimized.ok() ? CanonicalString(optimized->relation).c_str()
+                         : optimized.status().ToString().c_str(),
+          local.body.c_str());
       diverged = true;
     }
     if (args.server && !diverged) {
@@ -213,13 +224,13 @@ int RunNestedCases(const FuzzArgs& args) {
       }
       Result<Response> remote = client.Query(generated.query_text);
       if (!remote.ok() ||
-          remote->status.ok() != batch_response.status.ok() ||
-          remote->body != batch_response.body) {
+          remote->status.ok() != local.status.ok() ||
+          remote->body != local.body) {
         std::printf(
             "FAIL nested-seed 0x%llx server round-trip disagrees\n"
             "query: %s\nlocal: %s\nserver: %s\n",
             static_cast<unsigned long long>(case_seed),
-            generated.query_text.c_str(), batch_response.body.c_str(),
+            generated.query_text.c_str(), local.body.c_str(),
             remote.ok() ? remote->body.c_str() : "<transport error>");
         diverged = true;
       }

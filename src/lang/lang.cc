@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "exec/build.h"
-#include "exec/morsel.h"
 #include "lang/parser.h"
 
 namespace fro {
@@ -46,7 +45,7 @@ Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
     result.optimize.classification = "optimization disabled";
   }
 
-  // Execute through the pipelined engine with the Status-carrying drain:
+  // Execute through the batch executor with the Status-carrying drain:
   // interruption surfaces as kCancelled / kDeadlineExceeded rather than a
   // truncated relation.
   ExecControl local_control;
@@ -59,28 +58,16 @@ Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
                           *options.deadline);
   }
 
-  result.engine = options.engine;
-  if (options.engine == ExecEngine::kTuple) {
-    IteratorPtr root = BuildIterator(result.optimize.plan, *translation.db,
-                                     options.join_algo);
-    if (control != nullptr) root->SetControl(control);
-    FRO_ASSIGN_OR_RETURN(result.relation,
-                         DrainChecked(root.get(), control));
-    result.plan_stats = SnapshotPlanStats(root.get());
-  } else {
-    // Batch engine; with threads > 1, parallelizable regions run as
-    // morsel-driven exchanges (exec/morsel.h). threads <= 1 builds the
-    // identical serial plan BuildBatchIterator would.
-    ParallelOptions par;
-    par.threads = options.threads;
-    par.algo = options.join_algo;
-    BatchIteratorPtr root = BuildParallelBatchIterator(
-        result.optimize.plan, *translation.db, par);
-    if (control != nullptr) root->SetControl(control);
-    FRO_ASSIGN_OR_RETURN(result.relation,
-                         DrainChecked(root.get(), control));
-    result.plan_stats = SnapshotPlanStats(root.get());
-  }
+  // With threads > 1, parallelizable regions run as morsel-driven
+  // exchanges (exec/morsel.h); otherwise the plan is serial.
+  ParallelOptions par;
+  par.threads = options.threads;
+  par.algo = options.join_algo;
+  BatchIteratorPtr root =
+      BuildParallelBatchIterator(result.optimize.plan, *translation.db, par);
+  if (control != nullptr) root->SetControl(control);
+  FRO_ASSIGN_OR_RETURN(result.relation, DrainChecked(root.get(), control));
+  result.plan_stats = SnapshotPlanStats(root.get());
   if (options.feedback != nullptr && result.optimize.plan != nullptr) {
     // Close the loop: persist this execution's actuals and report its
     // Q-error to the plan cache, which marks the entry stale once the

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "algebra/expr.h"
-#include "exec/batch.h"
 #include "graph/query_graph.h"
 #include "optimizer/cardinality.h"
 #include "relational/exec_stats.h"
@@ -47,18 +46,16 @@ struct ExplainAnalyzeResult {
   /// materializing evaluator reports for the same expression.
   ExecStats totals;
   /// Tuples retrieved from ground relations — Example 1's accounting
-  /// (2·10⁷+1 vs. 3), measured through the pipelined executor.
+  /// (2·10⁷+1 vs. 3), measured through the batch executor.
   uint64_t base_tuples_read = 0;
   /// Worst per-node Q-error, max(est, actual) / min(est, actual) with
   /// both clamped to at least one row.
   double max_q_error = 1.0;
 };
 
-/// Executes `expr` through the chosen execution engine (batch by
-/// default) with per-operator instrumentation (including wall-clock
-/// timing) and renders estimated-versus-actual rows for every plan node.
-/// The engines agree on results and counters, so the choice only affects
-/// the timing figures. With the batch engine and `threads > 1`,
+/// Executes `expr` through the batch executor with per-operator
+/// instrumentation (including wall-clock timing) and renders
+/// estimated-versus-actual rows for every plan node. With `threads > 1`,
 /// parallelizable regions execute as morsel-driven exchanges
 /// (exec/morsel.h): the rendering shows the Exchange node with the
 /// node-wise cross-worker merge of its spine beneath it, and every
@@ -67,8 +64,7 @@ struct ExplainAnalyzeResult {
 /// rendered with a `[feedback-corrected]` marker.
 ExplainAnalyzeResult ExplainAnalyze(
     const ExprPtr& expr, const Database& db, JoinAlgo algo = JoinAlgo::kAuto,
-    ExecEngine engine = ExecEngine::kBatch, int threads = 1,
-    const CardinalityFeedback* feedback = nullptr);
+    int threads = 1, const CardinalityFeedback* feedback = nullptr);
 
 /// Graphviz DOT for an expression tree.
 std::string ExprToDot(const ExprPtr& expr, const Database& db);

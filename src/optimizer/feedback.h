@@ -186,12 +186,12 @@ struct OpEstimates {
 OpEstimates CollectOpEstimates(const ExprPtr& plan,
                                const CardinalityEstimator& estimator);
 
-/// Feeds one execution back: walks the engine-agnostic PlanOpStats
-/// snapshot, records each operator's measured cardinality into `store`
-/// (null store = measure only), and returns the worst per-operator
-/// Q-error against `estimates`. Passthrough adapters and nodes without a
-/// source expression are skipped; duplicate hashes (e.g. a morsel
-/// exchange wrapping its spine) are observed once with the larger count.
+/// Feeds one execution back: walks the PlanOpStats snapshot, records
+/// each operator's measured cardinality into `store` (null store =
+/// measure only), and returns the worst per-operator Q-error against
+/// `estimates`. Passthrough nodes and nodes without a source expression
+/// are skipped; duplicate hashes (e.g. a morsel exchange wrapping its
+/// spine) are observed once with the larger count.
 double ObservePlanExecution(FeedbackStore* store, uint64_t plan_hash,
                             const PlanOpStats& snapshot,
                             const OpEstimates& estimates);

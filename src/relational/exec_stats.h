@@ -5,8 +5,8 @@
 // `(R1 - R2) -> R3` touches 3. One counter struct serves every layer with
 // exactly that accounting: the kernels in relational/ops.h and
 // relational/sort_merge.h fill it per invocation, the materializing
-// evaluator (algebra/eval.h) sums it across a tree, and the pipelined
-// Volcano executor (exec/iterator.h) keeps one per operator. Tests assert
+// evaluator (algebra/eval.h) sums it across a tree, and the batch
+// executor (exec/batch_iterator.h) keeps one per operator. Tests assert
 // that executor and evaluator produce identical counters operator by
 // operator.
 

@@ -125,7 +125,7 @@ class Predicate {
 /// the batch executor's amortization of predicate interpretation: bind
 /// once per pipeline, evaluate per tuple. Equivalent to
 /// `pred->Eval(tuple, scheme)` on every input (the equivalence suite
-/// asserts engine agreement).
+/// asserts executor/evaluator agreement).
 class BoundPredicate {
  public:
   /// Unbound; Eval must not be called until Bind().

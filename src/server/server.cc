@@ -27,7 +27,6 @@ FroServer::FroServer(const NestedDb* db, ServerOptions options)
                          : 0),
       session_(nullptr) {
   SessionOptions session_options;
-  session_options.engine = options_.engine;
   session_options.default_deadline_ms = options_.default_deadline_ms;
   session_options.max_query_threads =
       options_.max_query_threads > 0 ? options_.max_query_threads : 1;

@@ -10,8 +10,8 @@
 //
 // Deadlines and cancellation. Every QUERY gets an ExecControl with a
 // deadline of `options.default_deadline_ms`; the executor checks it
-// cooperatively (exec/iterator.h), so runaway queries stop within one
-// tuple. A QUERY whose verb carried `@tag` is registered while it runs,
+// cooperatively (exec/batch_iterator.h), so runaway queries stop within
+// one batch. A QUERY whose verb carried `@tag` is registered while it runs,
 // and `CANCEL tag` from any connection raises its cancel flag.
 //
 // Sharing. All workers share one read-only NestedDb, one LruPlanCache,
@@ -34,7 +34,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "exec/iterator.h"
+#include "exec/batch_iterator.h"
 #include "lang/model.h"
 #include "server/metrics.h"
 #include "optimizer/plan_cache.h"
@@ -56,9 +56,6 @@ struct ServerOptions {
   int default_deadline_ms = 30000;
   /// Plan-cache entries; 0 serves every query cold (cache off).
   size_t plan_cache_capacity = 128;
-  /// Execution engine for QUERY / ANALYZE (batch by default; results and
-  /// counters are engine-independent).
-  ExecEngine engine = ExecEngine::kBatch;
   /// Per-query cap on `?threads=N` asks (morsel-driven intra-query
   /// parallelism, exec/morsel.h); 1 serves every query serially.
   int max_query_threads = 1;

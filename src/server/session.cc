@@ -132,11 +132,10 @@ Response QuerySession::RunQueryVerb(const std::string& text, int threads,
     return response;
   }
   // The one place this request's execution options are assembled:
-  // deadline, plan cache, engine choice, and worker threads all flow
+  // deadline, plan cache, feedback, and worker threads all flow
   // through RunOptions into the Status-carrying RunParsedQuery surface.
   RunOptions run = RunOptions()
                        .WithPlanCache(plan_cache_)
-                       .WithEngine(options_.engine)
                        .WithThreads(threads)
                        .WithControl(control)
                        .WithFeedback(options_.feedback);
@@ -206,7 +205,7 @@ Response QuerySession::RunAnalyzeVerb(const std::string& text, int threads) {
   }
   ExplainAnalyzeResult analyzed =
       ExplainAnalyze(planned->optimize.plan, *planned->translation.db,
-                     JoinAlgo::kAuto, options_.engine, threads, feedback);
+                     JoinAlgo::kAuto, threads, feedback);
   response.body = analyzed.text;
   // The same per-pass rendering the shell's \analyze uses
   // (FormatPassStats): one code path for pipeline observability.

@@ -247,25 +247,24 @@ TEST_F(YannakakisTest, ForcedProgramMatchesBinaryPlanOnBothEngines) {
 
     const Relation want = Eval(binary_, db_);
     EXPECT_TRUE(BagEquals(want, Eval(program.expr, db_)));
-    EXPECT_TRUE(BagEquals(want, ExecutePipelined(program.expr, db_)));
     EXPECT_TRUE(BagEquals(want, ExecuteBatched(program.expr, db_)));
   }
 }
 
-TEST_F(YannakakisTest, TupleAndBatchEnginesAgreeOnProgramStats) {
+TEST_F(YannakakisTest, BatchEngineMatchesEvalOnProgramStats) {
   JoinTree tree = GyoReduce(BuildJoinHypergraph(operands_, conjuncts_));
   ASSERT_TRUE(tree.acyclic);
   SemijoinProgram program =
       PlanYannakakis(operands_, conjuncts_, tree, nullptr);
   ASSERT_GE(program.semijoins, 2);
 
-  IteratorPtr tuple_root = BuildIterator(program.expr, db_);
-  Relation tuple_out = Drain(tuple_root.get());
+  EvalStats eval_stats;
+  Relation eval_out = Eval(program.expr, db_, EvalOptions(), &eval_stats);
   BatchIteratorPtr batch_root = BuildBatchIterator(program.expr, db_);
   Relation batch_out = DrainBatches(batch_root.get());
-  EXPECT_TRUE(BagEquals(tuple_out, batch_out));
+  EXPECT_TRUE(BagEquals(eval_out, batch_out));
 
-  const ExecStats t = CollectPipelineStats(tuple_root.get());
+  const ExecStats& t = eval_stats.totals;
   const ExecStats b = CollectPipelineStats(batch_root.get());
   EXPECT_EQ(t.left_reads, b.left_reads);
   EXPECT_EQ(t.right_reads, b.right_reads);
@@ -381,8 +380,6 @@ TEST_F(YannakakisTest, StrongRestrictionUnlocksTheFastPathThroughSimplify) {
   ASSERT_NE(pass, nullptr);
   EXPECT_TRUE(pass->ran);
   EXPECT_TRUE(BagEquals(Eval(query, db_), Eval(outcome->plan, db_)));
-  EXPECT_TRUE(BagEquals(Eval(query, db_),
-                        ExecutePipelined(outcome->plan, db_)));
   EXPECT_TRUE(BagEquals(Eval(query, db_),
                         ExecuteBatched(outcome->plan, db_)));
 }

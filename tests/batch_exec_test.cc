@@ -1,12 +1,11 @@
-// Batch-engine equivalence suite: the batch executor must be
+// Batch-executor equivalence suite: the batch executor must be
 // result-transparent — byte-identical results (canonical form) and
-// identical ExecStats counters — against BOTH the tuple-at-a-time
-// executor and the materializing evaluator, operator by operator, on
-// the paper's example databases, null-heavy outerjoin inputs, empty
-// relations, and batch-boundary input sizes (0, 1, capacity,
-// capacity+1). Also covers the engine-bridging adapters, the
-// Status-carrying DrainChecked surface (kCancelled /
-// kDeadlineExceeded), and RunQuery's engine/deadline options.
+// identical ExecStats counters — against the materializing evaluator,
+// operator by operator and at every batch capacity, on the paper's
+// example databases, null-heavy outerjoin inputs, empty relations, and
+// batch-boundary input sizes (0, 1, capacity, capacity+1). Also covers
+// the Status-carrying DrainChecked surface (kCancelled /
+// kDeadlineExceeded) and RunQuery's deadline and cancel options.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +16,7 @@
 #include "algebra/eval.h"
 #include "common/rng.h"
 #include "enumerate/it_enum.h"
-#include "exec/batch_operators.h"
 #include "exec/build.h"
-#include "exec/operators.h"
 #include "exec/stats_view.h"
 #include "lang/lang.h"
 #include "testing/datagen.h"
@@ -39,11 +36,11 @@ void ExpectCountersEq(const ExecStats& got, const ExecStats& want,
   EXPECT_EQ(got.predicate_evals, want.predicate_evals) << context;
 }
 
-// Runs `expr` through all three engines — evaluator, tuple pipeline,
-// batch pipeline (at `capacity` tuples per batch) — and asserts results
-// byte-identical in canonical form and pipeline counter totals equal.
-void ExpectAllEnginesAgree(const ExprPtr& expr, const Database& db,
-                           JoinAlgo algo, size_t capacity) {
+// Runs `expr` through the evaluator and the batch pipeline (at
+// `capacity` tuples per batch) and asserts results byte-identical in
+// canonical form and pipeline counter totals equal.
+void ExpectBatchMatchesEval(const ExprPtr& expr, const Database& db,
+                            JoinAlgo algo, size_t capacity) {
   const std::string context =
       expr->ToString() + " cap=" + std::to_string(capacity);
 
@@ -52,27 +49,20 @@ void ExpectAllEnginesAgree(const ExprPtr& expr, const Database& db,
   EvalStats eval_stats;
   Relation reference = Eval(expr, db, eval_options, &eval_stats);
 
-  IteratorPtr tuple_root = BuildIterator(expr, db, algo);
-  Relation tuple_out = Drain(tuple_root.get());
-
   BatchIteratorPtr batch_root = BuildBatchIterator(expr, db, algo, capacity);
   Relation batch_out = DrainBatches(batch_root.get());
 
   // Byte-identical: canonical renderings match exactly.
-  EXPECT_EQ(CanonicalString(batch_out), CanonicalString(tuple_out)) << context;
-  EXPECT_TRUE(BagEquals(reference, batch_out)) << context;
-
-  const ExecStats tuple_totals = CollectPipelineStats(tuple_root.get());
-  const ExecStats batch_totals = CollectPipelineStats(batch_root.get());
-  ExpectCountersEq(batch_totals, tuple_totals, context + " [batch vs tuple]");
-  ExpectCountersEq(batch_totals, eval_stats.totals,
-                   context + " [batch vs eval]");
+  EXPECT_EQ(CanonicalString(batch_out), CanonicalString(reference))
+      << context;
+  ExpectCountersEq(CollectPipelineStats(batch_root.get()), eval_stats.totals,
+                   context);
 }
 
-void ExpectAllEnginesAgreeAllCapacities(const ExprPtr& expr,
-                                        const Database& db, JoinAlgo algo) {
+void ExpectBatchMatchesEvalAllCapacities(const ExprPtr& expr,
+                                         const Database& db, JoinAlgo algo) {
   for (size_t capacity : {size_t{1}, size_t{3}, TupleBatch::kDefaultCapacity}) {
-    ExpectAllEnginesAgree(expr, db, algo, capacity);
+    ExpectBatchMatchesEval(expr, db, algo, capacity);
   }
 }
 
@@ -188,10 +178,10 @@ class BatchEquivTest : public ::testing::Test {
   AttrId a_, b_, c_, d_;
 };
 
-TEST_F(BatchEquivTest, EveryOperatorKindAgreesAcrossEngines) {
+TEST_F(BatchEquivTest, EveryOperatorKindMatchesEval) {
   for (const ExprPtr& expr : AllOperatorKinds()) {
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-      ExpectAllEnginesAgreeAllCapacities(expr, db_, algo);
+      ExpectBatchMatchesEvalAllCapacities(expr, db_, algo);
     }
   }
 }
@@ -202,7 +192,7 @@ TEST_F(BatchEquivTest, CompositePipelineAgrees) {
                      CmpLit(CmpOp::kGe, d_, Value::Int(100))),
       {a_, d_}, /*dedup=*/true);
   for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-    ExpectAllEnginesAgreeAllCapacities(expr, db_, algo);
+    ExpectBatchMatchesEvalAllCapacities(expr, db_, algo);
   }
 }
 
@@ -232,7 +222,7 @@ TEST(BatchNullKeyTest, NullHeavyOuterAntiSemiAgree) {
   }
   for (const ExprPtr& expr : exprs) {
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-      ExpectAllEnginesAgreeAllCapacities(expr, db, algo);
+      ExpectBatchMatchesEvalAllCapacities(expr, db, algo);
     }
   }
 }
@@ -271,7 +261,7 @@ TEST(BatchEmptyInputTest, EmptyRelationsAgree) {
       };
       for (const ExprPtr& expr : exprs) {
         for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-          ExpectAllEnginesAgreeAllCapacities(expr, db, algo);
+          ExpectBatchMatchesEvalAllCapacities(expr, db, algo);
         }
       }
     }
@@ -306,13 +296,13 @@ TEST(BatchBoundaryTest, SizesAroundCapacityAgree) {
     ExprPtr outer = Expr::OuterJoin(Expr::Leaf(r, db), Expr::Leaf(s, db),
                                     EqCols(a, c), /*preserves_left=*/true);
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-      ExpectAllEnginesAgree(expr, db, algo, kCapacity);
-      ExpectAllEnginesAgree(outer, db, algo, kCapacity);
+      ExpectBatchMatchesEval(expr, db, algo, kCapacity);
+      ExpectBatchMatchesEval(outer, db, algo, kCapacity);
     }
   }
 }
 
-// The paper's Example 1 and DEPT/EMP databases through both engines.
+// The paper's Example 1 and DEPT/EMP databases through the executor.
 TEST(BatchExampleDatabasesTest, Example1OrdersAgree) {
   std::unique_ptr<Database> db = MakeExample1Database(100);
   RelId r1 = db->Rel("R1");
@@ -334,7 +324,7 @@ TEST(BatchExampleDatabasesTest, Example1OrdersAgree) {
       Expr::Leaf(r3, *db), EqCols(r2fk, r3k), /*preserves_left=*/true);
 
   for (const ExprPtr& expr : {naive, reordered}) {
-    ExpectAllEnginesAgreeAllCapacities(expr, *db, JoinAlgo::kAuto);
+    ExpectBatchMatchesEvalAllCapacities(expr, *db, JoinAlgo::kAuto);
   }
   EXPECT_TRUE(BagEquals(ExecuteBatched(naive, *db),
                         ExecuteBatched(reordered, *db)));
@@ -350,14 +340,14 @@ TEST(BatchExampleDatabasesTest, DeptEmpOuterjoinAgrees) {
       Expr::OuterJoin(Expr::Leaf(dept, *db), Expr::Leaf(emp, *db),
                       EqCols(dept_dno, emp_dno), /*preserves_left=*/true);
   for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-    ExpectAllEnginesAgreeAllCapacities(expr, *db, algo);
+    ExpectBatchMatchesEvalAllCapacities(expr, *db, algo);
   }
 }
 
 // Example 2: the two bracketings of R1 -> (R2 - R3) genuinely differ
 // (that is the paper's counterexample) — but *within* each bracketing,
-// every engine must produce the same rows. Engine equivalence has to
-// hold exactly where plan equivalence fails.
+// the executor must produce the evaluator's rows. Executor equivalence
+// has to hold exactly where plan equivalence fails.
 TEST(BatchExampleDatabasesTest, Example2BracketingsAgreePerTree) {
   Database db;
   RelId r1 = *db.AddRelation("R1", {"a"});
@@ -380,8 +370,8 @@ TEST(BatchExampleDatabasesTest, Example2BracketingsAgreePerTree) {
                       /*preserves_left=*/true),
       Expr::Leaf(r3, db), pjn);
   for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-    ExpectAllEnginesAgreeAllCapacities(oj_of_join, db, algo);
-    ExpectAllEnginesAgreeAllCapacities(join_of_oj, db, algo);
+    ExpectBatchMatchesEvalAllCapacities(oj_of_join, db, algo);
+    ExpectBatchMatchesEvalAllCapacities(join_of_oj, db, algo);
   }
   // The counterexample itself still holds through the batch engine.
   EXPECT_EQ(ExecuteBatched(oj_of_join, db).NumRows(), 1u);
@@ -417,14 +407,14 @@ TEST(BatchExampleDatabasesTest, Example3NonstrongPredicateAgreesPerTree) {
                       /*preserves_left=*/true),
       pab, /*preserves_left=*/true);
   for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-    ExpectAllEnginesAgreeAllCapacities(left_assoc, db, algo);
-    ExpectAllEnginesAgreeAllCapacities(right_assoc, db, algo);
+    ExpectBatchMatchesEvalAllCapacities(left_assoc, db, algo);
+    ExpectBatchMatchesEvalAllCapacities(right_assoc, db, algo);
   }
   EXPECT_FALSE(BagEquals(ExecuteBatched(left_assoc, db),
                          ExecuteBatched(right_assoc, db)));
 }
 
-TEST(BatchPropertyTest, RandomQueriesAgreeAcrossEngines) {
+TEST(BatchPropertyTest, RandomQueriesMatchEval) {
   Rng rng(8804);
   for (int trial = 0; trial < 25; ++trial) {
     RandomQueryOptions options;
@@ -435,185 +425,72 @@ TEST(BatchPropertyTest, RandomQueriesAgreeAcrossEngines) {
     ASSERT_NE(tree, nullptr);
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
       const size_t capacity = 1 + rng.Uniform(5);
-      ExpectAllEnginesAgree(tree, *q.db, algo, capacity);
-      ExpectAllEnginesAgree(tree, *q.db, algo, TupleBatch::kDefaultCapacity);
+      ExpectBatchMatchesEval(tree, *q.db, algo, capacity);
+      ExpectBatchMatchesEval(tree, *q.db, algo, TupleBatch::kDefaultCapacity);
     }
   }
-}
-
-// --- Adapters: tuple subtrees under batch pipelines and vice versa ----
-
-TEST_F(BatchEquivTest, TupleBatchAdapterBridgesTupleSubtree) {
-  ExprPtr join = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  Relation direct = ExecutePipelined(join, db_);
-
-  // Wrap the whole tuple plan and narrow it with a batch filter on top.
-  PredicatePtr pred = CmpLit(CmpOp::kGe, b_, Value::Int(20));
-  auto wrapped = std::make_unique<TupleBatchAdapter>(
-      BuildIterator(join, db_, JoinAlgo::kAuto));
-  BatchFilterIterator filter(std::move(wrapped), pred);
-
-  Relation out = DrainBatches(&filter);
-  ExprPtr filtered = Expr::Restrict(join, pred);
-  EXPECT_EQ(CanonicalString(out),
-            CanonicalString(ExecutePipelined(filtered, db_)));
-
-  // Stats rollup reaches through the adapter into the tuple subtree:
-  // the wrapped join's reads are visible in the batch-side totals.
-  ExecStats totals = CollectPipelineStats(&filter);
-  EXPECT_GT(totals.left_reads, 0u);
-  EXPECT_GT(totals.probes, 0u);
-
-  // The snapshot marks the adapter node itself as a passthrough, so its
-  // re-emitted rows are not double-counted by SumPipelineStats.
-  PlanOpStats snapshot = SnapshotPlanStats(&filter);
-  ASSERT_EQ(snapshot.children.size(), 1u);
-  EXPECT_TRUE(snapshot.children[0].passthrough);
-  EXPECT_EQ(direct.NumRows(), snapshot.children[0].stats.emitted);
-}
-
-TEST_F(BatchEquivTest, BatchTupleAdapterBridgesBatchSubtree) {
-  ExprPtr join = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  Relation direct = ExecutePipelined(join, db_);
-
-  for (size_t capacity : {size_t{1}, size_t{2}, TupleBatch::kDefaultCapacity}) {
-    BatchTupleAdapter adapter(
-        BuildBatchIterator(join, db_, JoinAlgo::kAuto, capacity), capacity);
-    Relation out = Drain(&adapter);
-    EXPECT_EQ(CanonicalString(out), CanonicalString(direct))
-        << "cap=" << capacity;
-
-    // The adapter is the snapshot root and is marked passthrough; its
-    // child is the wrapped batch join. Passthrough emission is excluded
-    // from the rollup, so totals show the join's output once, not twice.
-    PlanOpStats snapshot = SnapshotPlanStats(&adapter);
-    EXPECT_TRUE(snapshot.passthrough);
-    ASSERT_EQ(snapshot.children.size(), 1u);
-    EXPECT_EQ(snapshot.children[0].stats.emitted, direct.NumRows());
-    EXPECT_EQ(SumPipelineStats(snapshot).emitted, direct.NumRows());
-  }
-}
-
-TEST_F(BatchEquivTest, AdapterRoundTripIsIdentity) {
-  ExprPtr expr = Expr::Restrict(LeafR(), CmpLit(CmpOp::kGe, b_, Value::Int(20)));
-  // batch -> tuple -> batch sandwich.
-  auto inner = std::make_unique<BatchTupleAdapter>(
-      BuildBatchIterator(expr, db_, JoinAlgo::kAuto, 2), 2);
-  TupleBatchAdapter sandwich(std::move(inner));
-  EXPECT_EQ(CanonicalString(DrainBatches(&sandwich)),
-            CanonicalString(ExecutePipelined(expr, db_)));
 }
 
 // --- DrainChecked: the Status-carrying execution surface --------------
 
 TEST_F(BatchEquivTest, DrainCheckedSurfacesCancellation) {
   ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  {
-    ExecControl control;
-    control.RequestCancel();
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
-  {
-    ExecControl control;
-    control.RequestCancel();
-    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
-}
-
-TEST_F(BatchEquivTest, DrainCheckedSurfacesDeadline) {
-  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  {
-    ExecControl control;
-    control.set_deadline(std::chrono::steady_clock::now());  // already due
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
-  {
-    ExecControl control;
-    control.set_deadline(std::chrono::steady_clock::now());
-    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
-    root->SetControl(&control);
-    Result<Relation> result = DrainChecked(root.get(), &control);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
-}
-
-TEST_F(BatchEquivTest, DrainCheckedWithoutControlMatchesDrain) {
-  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  {
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    Result<Relation> checked = DrainChecked(root.get(), nullptr);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_EQ(CanonicalString(*checked),
-              CanonicalString(ExecutePipelined(expr, db_)));
-  }
-  {
-    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
-    Result<Relation> checked = DrainChecked(root.get(), nullptr);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_EQ(CanonicalString(*checked),
-              CanonicalString(ExecutePipelined(expr, db_)));
-  }
-}
-
-// Adapters forward the control into the subtree they wrap: a cancelled
-// control stops a tuple pipeline running under a batch root.
-TEST_F(BatchEquivTest, AdapterForwardsControlToWrappedSubtree) {
-  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
   ExecControl control;
   control.RequestCancel();
-  TupleBatchAdapter adapter(BuildIterator(expr, db_, JoinAlgo::kAuto));
-  adapter.SetControl(&control);
-  Result<Relation> result = DrainChecked(&adapter, &control);
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  root->SetControl(&control);
+  Result<Relation> result = DrainChecked(root.get(), &control);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-// --- RunQuery: engine choice and deadline through RunOptions ----------
+TEST_F(BatchEquivTest, DrainCheckedSurfacesDeadline) {
+  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
+  ExecControl control;
+  control.set_deadline(std::chrono::steady_clock::now());  // already due
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  root->SetControl(&control);
+  Result<Relation> result = DrainChecked(root.get(), &control);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
 
-TEST(BatchRunQueryTest, EnginesAgreeThroughTheFacade) {
+TEST_F(BatchEquivTest, DrainCheckedWithoutControlMatchesDrain) {
+  ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  Result<Relation> checked = DrainChecked(root.get(), nullptr);
+  ASSERT_TRUE(checked.ok());
+  EXPECT_EQ(CanonicalString(*checked),
+            CanonicalString(ExecuteBatched(expr, db_)));
+}
+
+// --- RunQuery: counters, deadline, and cancel through RunOptions ------
+
+// The facade's plan_stats snapshot sums to the evaluator's counters for
+// the plan it executed.
+TEST(BatchRunQueryTest, FacadeCountersMatchEval) {
   NestedDb db = MakeCompanyNestedDb();
   const std::string query =
       "Select All From EMPLOYEE*ChildName, DEPARTMENT "
       "Where EMPLOYEE.D# = DEPARTMENT.D#";
-  Result<QueryRunResult> batch =
-      RunQuery(db, query, RunOptions().WithEngine(ExecEngine::kBatch));
-  Result<QueryRunResult> tuple =
-      RunQuery(db, query, RunOptions().WithEngine(ExecEngine::kTuple));
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_TRUE(tuple.ok()) << tuple.status().ToString();
-  EXPECT_EQ(batch->engine, ExecEngine::kBatch);
-  EXPECT_EQ(tuple->engine, ExecEngine::kTuple);
-  EXPECT_EQ(CanonicalString(batch->relation), CanonicalString(tuple->relation));
-  ExpectCountersEq(SumPipelineStats(batch->plan_stats),
-                   SumPipelineStats(tuple->plan_stats), query);
+  Result<QueryRunResult> run = RunQuery(db, query);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EvalStats eval_stats;
+  Relation reference = Eval(run->optimize.plan, *run->translation.db,
+                            EvalOptions(), &eval_stats);
+  EXPECT_EQ(CanonicalString(run->relation), CanonicalString(reference));
+  ExpectCountersEq(SumPipelineStats(run->plan_stats), eval_stats.totals,
+                   query);
 }
 
 TEST(BatchRunQueryTest, ExpiredDeadlineSurfacesThroughRunQuery) {
   NestedDb db = MakeScaledCompanyNestedDb(50);
   const std::string query =
       "Select All From EMPLOYEE e1, EMPLOYEE e2 Where e1.Rank = e2.Rank";
-  for (ExecEngine engine : {ExecEngine::kTuple, ExecEngine::kBatch}) {
-    Result<QueryRunResult> run =
-        RunQuery(db, query,
-                 RunOptions().WithEngine(engine).WithDeadline(
-                     std::chrono::milliseconds(0)));
-    ASSERT_FALSE(run.ok()) << ExecEngineName(engine);
-    EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded)
-        << ExecEngineName(engine);
-  }
+  Result<QueryRunResult> run = RunQuery(
+      db, query, RunOptions().WithDeadline(std::chrono::milliseconds(0)));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(BatchRunQueryTest, CancelledControlSurfacesThroughRunQuery) {

@@ -1,18 +1,18 @@
 // Instrumented-execution tests: the per-operator counters kept by the
-// pipelined Volcano executor must agree, operator by operator, with the
-// kernel counters the materializing evaluator accumulates; EXPLAIN
-// ANALYZE must reproduce Example 1's retrieval arithmetic (2n+1 base
-// tuples for the naive order, 3 for the reordered one) through the
-// pipelined executor; plus regression tests for the hash-index lifetime
-// bug and null-key anti/semijoin agreement.
+// batch executor must agree, operator by operator, with the kernel
+// counters the materializing evaluator accumulates; EXPLAIN ANALYZE must
+// reproduce Example 1's retrieval arithmetic (2n+1 base tuples for the
+// naive order, 3 for the reordered one) through the executor; plus
+// regression tests for the hash-index lifetime bug and null-key
+// anti/semijoin agreement.
 
 #include <gtest/gtest.h>
 
 #include "algebra/eval.h"
 #include "common/rng.h"
 #include "enumerate/it_enum.h"
+#include "exec/batch_operators.h"
 #include "exec/build.h"
-#include "exec/operators.h"
 #include "optimizer/explain.h"
 #include "testing/datagen.h"
 #include "testing/graphgen.h"
@@ -30,16 +30,17 @@ void ExpectCountersEq(const ExecStats& exec, const ExecStats& eval,
   EXPECT_EQ(exec.predicate_evals, eval.predicate_evals) << context;
 }
 
-// Runs `expr` through both engines and checks results and counters.
-void ExpectEnginesAgree(const ExprPtr& expr, const Database& db,
-                        JoinAlgo algo) {
+// Runs `expr` through the evaluator and the executor and checks results
+// and counters.
+void ExpectExecutorMatchesEval(const ExprPtr& expr, const Database& db,
+                               JoinAlgo algo) {
   EvalOptions options;
   options.algo = algo;
   EvalStats eval_stats;
   Relation reference = Eval(expr, db, options, &eval_stats);
 
-  IteratorPtr root = BuildIterator(expr, db, algo);
-  Relation piped = Drain(root.get());
+  BatchIteratorPtr root = BuildBatchIterator(expr, db, algo);
+  Relation piped = DrainBatches(root.get());
   EXPECT_TRUE(BagEquals(reference, piped)) << expr->ToString();
 
   ExecStats exec_totals = CollectPipelineStats(root.get());
@@ -73,7 +74,7 @@ class ExecStatsTest : public ::testing::Test {
   AttrId a_, b_, c_, d_;
 };
 
-// Every operator kind, both engines' join strategies: the root iterator's
+// Every operator kind, both join strategies: the root iterator's
 // counters must equal the evaluator's kernel counters for the same
 // single-operator expression.
 TEST_F(ExecStatsTest, AgreementMatrixOverAllOperatorKinds) {
@@ -97,7 +98,7 @@ TEST_F(ExecStatsTest, AgreementMatrixOverAllOperatorKinds) {
   };
   for (const ExprPtr& expr : exprs) {
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-      ExpectEnginesAgree(expr, db_, algo);
+      ExpectExecutorMatchesEval(expr, db_, algo);
     }
   }
 }
@@ -110,7 +111,7 @@ TEST_F(ExecStatsTest, CompositePipelineTotalsAgree) {
                      CmpLit(CmpOp::kGe, d_, Value::Int(100))),
       {a_, d_}, /*dedup=*/true);
   for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-    ExpectEnginesAgree(expr, db_, algo);
+    ExpectExecutorMatchesEval(expr, db_, algo);
   }
 }
 
@@ -123,8 +124,8 @@ TEST(ExecStatsPropertyTest, CountersAgreeOnRandomQueries) {
     GeneratedQuery q = GenerateRandomQuery(options, &rng);
     ExprPtr tree = RandomIt(q.graph, *q.db, &rng);
     ASSERT_NE(tree, nullptr);
-    ExpectEnginesAgree(tree, *q.db, JoinAlgo::kAuto);
-    ExpectEnginesAgree(tree, *q.db, JoinAlgo::kNestedLoop);
+    ExpectExecutorMatchesEval(tree, *q.db, JoinAlgo::kAuto);
+    ExpectExecutorMatchesEval(tree, *q.db, JoinAlgo::kNestedLoop);
   }
 }
 
@@ -132,14 +133,14 @@ TEST(ExecStatsPropertyTest, CountersAgreeOnRandomQueries) {
 // counters (not tree totals), and Scan nodes report only emitted rows.
 TEST_F(ExecStatsTest, PerOperatorAttribution) {
   ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
-  IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-  Relation out = Drain(root.get());
+  BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+  Relation out = DrainBatches(root.get());
   EXPECT_EQ(root->stats().emitted, out.NumRows());
   // Hash join: one probe per left row, including the null-key row.
   EXPECT_EQ(root->stats().probes, 4u);
   EXPECT_EQ(root->stats().left_reads, 4u);
   ASSERT_EQ(root->children().size(), 2u);
-  for (TupleIterator* child : root->children()) {
+  for (BatchIterator* child : root->children()) {
     EXPECT_STREQ(child->physical_name(), "Scan");
     EXPECT_EQ(child->stats().left_reads, 0u);
     EXPECT_EQ(child->stats().probes, 0u);
@@ -147,7 +148,7 @@ TEST_F(ExecStatsTest, PerOperatorAttribution) {
   }
 }
 
-// --- Example 1 through the pipelined executor -------------------------
+// --- Example 1 through the executor ------------------------------------
 
 // The paper's Example 1 at scale n: the naive order R1 -> (R2 -> R3)
 // retrieves 2n+1 base tuples while the reordered (R1 -> R2) -> R3
@@ -197,7 +198,7 @@ TEST(ExecStatsExample1Test, PipelinedBaseRetrievalAccounting) {
 
 // --- Regression: hash-index lifetime (satellite 1) --------------------
 
-// HashJoinIterator::Open used to build its HashIndex over a local
+// The hash join's Open used to build its HashIndex over a local
 // normalized copy of the build side that was destroyed when Open
 // returned. With keys that actually require normalization (ints probed
 // by doubles) the index must keep a live normalized relation to hash
@@ -218,14 +219,14 @@ TEST(HashIndexLifetimeTest, NormalizedBuildSideSurvivesOpen) {
   db.AddRow(s, {Value::Int(3)});
 
   auto make_join = [&] {
-    return std::make_unique<HashJoinIterator>(
-        std::make_unique<ScanIterator>(&db.relation(r)),
-        std::make_unique<ScanIterator>(&db.relation(s)), EqCols(x, y),
+    return std::make_unique<BatchHashJoinIterator>(
+        std::make_unique<BatchScanIterator>(&db.relation(r)),
+        std::make_unique<BatchScanIterator>(&db.relation(s)), EqCols(x, y),
         JoinMode::kInner, std::vector<AttrId>{x}, std::vector<AttrId>{y});
   };
 
   auto join = make_join();
-  Relation out = Drain(join.get());
+  Relation out = DrainBatches(join.get());
   EXPECT_EQ(out.NumRows(), 2u);  // 1.0 == 1 and 3.0 == 3
 
   // Output rows must carry the build side's *original* values, not the
@@ -240,14 +241,14 @@ TEST(HashIndexLifetimeTest, NormalizedBuildSideSurvivesOpen) {
 
   // Rescan exercises a second build over the member relation.
   auto again = make_join();
-  Relation first = Drain(again.get());
-  Relation second = Drain(again.get());
+  Relation first = DrainBatches(again.get());
+  Relation second = DrainBatches(again.get());
   EXPECT_TRUE(BagEquals(first, second));
 
   // And through the full stack: evaluator and executor agree.
   ExprPtr expr = Expr::Join(Expr::Leaf(r, db), Expr::Leaf(s, db),
                             EqCols(x, y));
-  ExpectEnginesAgree(expr, db, JoinAlgo::kAuto);
+  ExpectExecutorMatchesEval(expr, db, JoinAlgo::kAuto);
 }
 
 // --- Null join keys on both sides of anti/semijoin (satellite 4) ------
@@ -282,10 +283,10 @@ TEST_F(NullKeyAntiSemiTest, AntijoinKeepsNullKeyRows) {
         Expr::Antijoin(Expr::Leaf(r_, db_), Expr::Leaf(s_, db_),
                        EqCols(a_, c_), keeps_left);
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-      ExpectEnginesAgree(expr, db_, algo);
+      ExpectExecutorMatchesEval(expr, db_, algo);
     }
     if (keeps_left) {
-      Relation out = ExecutePipelined(expr, db_, JoinAlgo::kAuto);
+      Relation out = ExecuteBatched(expr, db_, JoinAlgo::kAuto);
       // {null, 2, null} survive; 1 is matched.
       EXPECT_EQ(out.NumRows(), 3u);
     }
@@ -298,10 +299,10 @@ TEST_F(NullKeyAntiSemiTest, SemijoinDropsNullKeyRows) {
         Expr::Semijoin(Expr::Leaf(r_, db_), Expr::Leaf(s_, db_),
                        EqCols(a_, c_), keeps_left);
     for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
-      ExpectEnginesAgree(expr, db_, algo);
+      ExpectExecutorMatchesEval(expr, db_, algo);
     }
     if (keeps_left) {
-      Relation out = ExecutePipelined(expr, db_, JoinAlgo::kAuto);
+      Relation out = ExecuteBatched(expr, db_, JoinAlgo::kAuto);
       EXPECT_EQ(out.NumRows(), 1u);  // only a=1 has a match
     }
   }
@@ -315,9 +316,9 @@ TEST_F(ExecStatsTest, UnionPadsPartiallyOverlappingSchemes) {
   // keeping their `b` values in the right column.
   ExprPtr expr =
       Expr::Union(LeafR(), Expr::Project(LeafR(), {b_}, /*dedup=*/false));
-  ExpectEnginesAgree(expr, db_, JoinAlgo::kAuto);
+  ExpectExecutorMatchesEval(expr, db_, JoinAlgo::kAuto);
 
-  Relation out = ExecutePipelined(expr, db_, JoinAlgo::kAuto);
+  Relation out = ExecuteBatched(expr, db_, JoinAlgo::kAuto);
   EXPECT_EQ(out.NumRows(), 8u);
   ASSERT_EQ(out.scheme().size(), 2u);
   size_t a_pos = static_cast<size_t>(out.scheme().IndexOf(a_));
@@ -333,41 +334,30 @@ TEST_F(ExecStatsTest, UnionPadsPartiallyOverlappingSchemes) {
 
 // --- Blocking iterators thread stats through the kernels --------------
 
-TEST_F(ExecStatsTest, SortMergeAndGojIteratorsReportKernelCounters) {
-  {
-    auto smj = std::make_unique<SortMergeJoinIterator>(
-        std::make_unique<ScanIterator>(&db_.relation(r_)),
-        std::make_unique<ScanIterator>(&db_.relation(s_)),
-        EqCols(a_, c_), JoinMode::kInner);
-    Relation out = Drain(smj.get());
-    EXPECT_GT(out.NumRows(), 0u);
-    EXPECT_EQ(smj->stats().emitted, out.NumRows());
-    // The kernel read both inputs; the stats are no longer dropped.
-    EXPECT_GT(smj->stats().left_reads, 0u);
-  }
-  {
-    ExprPtr goj = Expr::Goj(LeafR(), LeafS(), EqCols(a_, c_),
-                            AttrSet::Of({a_, b_}));
-    IteratorPtr root = BuildIterator(goj, db_, JoinAlgo::kAuto);
-    Relation out = Drain(root.get());
-    EXPECT_EQ(root->stats().emitted, out.NumRows());
-    EXPECT_GT(root->stats().left_reads, 0u);
-  }
+TEST_F(ExecStatsTest, GojIteratorReportsKernelCounters) {
+  ExprPtr goj = Expr::Goj(LeafR(), LeafS(), EqCols(a_, c_),
+                          AttrSet::Of({a_, b_}));
+  BatchIteratorPtr root = BuildBatchIterator(goj, db_, JoinAlgo::kAuto);
+  Relation out = DrainBatches(root.get());
+  EXPECT_EQ(root->stats().emitted, out.NumRows());
+  // The kernel read both inputs; the stats are not dropped.
+  EXPECT_GT(root->stats().left_reads, 0u);
+  EXPECT_GT(root->stats().right_reads, 0u);
 }
 
 // Timing is off by default and populated once enabled.
 TEST_F(ExecStatsTest, TimingOnlyWhenEnabled) {
   ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
   {
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
-    Drain(root.get());
+    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+    DrainBatches(root.get());
     EXPECT_EQ(root->stats().open_ns, 0u);
     EXPECT_EQ(root->stats().next_ns, 0u);
   }
   {
-    IteratorPtr root = BuildIterator(expr, db_, JoinAlgo::kAuto);
+    BatchIteratorPtr root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
     root->EnableTiming();
-    Drain(root.get());
+    DrainBatches(root.get());
     EXPECT_GT(root->stats().open_ns + root->stats().next_ns, 0u);
   }
 }

@@ -1,5 +1,5 @@
-// Volcano executor tests: per-operator behaviour, rescans, and the
-// cross-validation property: the pipelined executor agrees with the
+// Executor tests: per-operator behaviour, rescans, and the
+// cross-validation property: the batch executor agrees with the
 // materializing evaluator on every expression.
 
 #include <gtest/gtest.h>
@@ -7,8 +7,8 @@
 #include "algebra/eval.h"
 #include "common/rng.h"
 #include "enumerate/it_enum.h"
+#include "exec/batch_operators.h"
 #include "exec/build.h"
-#include "exec/operators.h"
 #include "testing/datagen.h"
 #include "testing/graphgen.h"
 
@@ -37,53 +37,53 @@ class ExecTest : public ::testing::Test {
 };
 
 TEST_F(ExecTest, ScanStreamsAllRows) {
-  ScanIterator scan(&db_.relation(r_));
-  Relation out = Drain(&scan);
+  BatchScanIterator scan(&db_.relation(r_));
+  Relation out = DrainBatches(&scan);
   EXPECT_TRUE(BagEquals(out, db_.relation(r_)));
   EXPECT_EQ(scan.produced(), 3u);
 }
 
 TEST_F(ExecTest, ScanRescans) {
-  ScanIterator scan(&db_.relation(r_));
-  Relation first = Drain(&scan);
-  Relation second = Drain(&scan);
+  BatchScanIterator scan(&db_.relation(r_));
+  Relation first = DrainBatches(&scan);
+  Relation second = DrainBatches(&scan);
   EXPECT_TRUE(BagEquals(first, second));
 }
 
 TEST_F(ExecTest, FilterDropsNonMatching) {
-  auto filter = std::make_unique<FilterIterator>(
-      std::make_unique<ScanIterator>(&db_.relation(r_)),
+  auto filter = std::make_unique<BatchFilterIterator>(
+      std::make_unique<BatchScanIterator>(&db_.relation(r_)),
       CmpLit(CmpOp::kGe, b_, Value::Int(20)));
-  EXPECT_EQ(Drain(filter.get()).NumRows(), 2u);
+  EXPECT_EQ(DrainBatches(filter.get()).NumRows(), 2u);
 }
 
 TEST_F(ExecTest, ProjectWithAndWithoutDedup) {
-  auto bag = std::make_unique<ProjectIterator>(
-      std::make_unique<ScanIterator>(&db_.relation(s_)),
+  auto bag = std::make_unique<BatchProjectIterator>(
+      std::make_unique<BatchScanIterator>(&db_.relation(s_)),
       std::vector<AttrId>{c_}, /*dedup=*/false);
-  EXPECT_EQ(Drain(bag.get()).NumRows(), 3u);
-  auto set = std::make_unique<ProjectIterator>(
-      std::make_unique<ScanIterator>(&db_.relation(s_)),
+  EXPECT_EQ(DrainBatches(bag.get()).NumRows(), 3u);
+  auto set = std::make_unique<BatchProjectIterator>(
+      std::make_unique<BatchScanIterator>(&db_.relation(s_)),
       std::vector<AttrId>{c_}, /*dedup=*/true);
-  EXPECT_EQ(Drain(set.get()).NumRows(), 2u);
+  EXPECT_EQ(DrainBatches(set.get()).NumRows(), 2u);
 }
 
 TEST_F(ExecTest, UnionPads) {
-  auto u = std::make_unique<UnionIterator>(
-      std::make_unique<ScanIterator>(&db_.relation(r_)),
-      std::make_unique<ScanIterator>(&db_.relation(s_)));
-  Relation out = Drain(u.get());
+  auto u = std::make_unique<BatchUnionIterator>(
+      std::make_unique<BatchScanIterator>(&db_.relation(r_)),
+      std::make_unique<BatchScanIterator>(&db_.relation(s_)));
+  Relation out = DrainBatches(u.get());
   EXPECT_EQ(out.NumRows(), 6u);
   EXPECT_EQ(out.scheme().size(), 3u);
 }
 
 TEST_F(ExecTest, JoinModesNestedLoop) {
   auto make = [&](JoinMode mode) {
-    auto it = std::make_unique<NestedLoopJoinIterator>(
-        std::make_unique<ScanIterator>(&db_.relation(r_)),
-        std::make_unique<ScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
+    auto it = std::make_unique<BatchNestedLoopJoinIterator>(
+        std::make_unique<BatchScanIterator>(&db_.relation(r_)),
+        std::make_unique<BatchScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
         mode);
-    return Drain(it.get());
+    return DrainBatches(it.get());
   };
   EXPECT_EQ(make(JoinMode::kInner).NumRows(), 2u);      // a=1 matches twice
   EXPECT_EQ(make(JoinMode::kLeftOuter).NumRows(), 4u);  // + 2 padded
@@ -93,61 +93,39 @@ TEST_F(ExecTest, JoinModesNestedLoop) {
 
 TEST_F(ExecTest, JoinModesHash) {
   auto make = [&](JoinMode mode) {
-    auto it = std::make_unique<HashJoinIterator>(
-        std::make_unique<ScanIterator>(&db_.relation(r_)),
-        std::make_unique<ScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
+    auto it = std::make_unique<BatchHashJoinIterator>(
+        std::make_unique<BatchScanIterator>(&db_.relation(r_)),
+        std::make_unique<BatchScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
         mode, std::vector<AttrId>{a_}, std::vector<AttrId>{c_});
-    return Drain(it.get());
+    return DrainBatches(it.get());
   };
   EXPECT_EQ(make(JoinMode::kInner).NumRows(), 2u);
   EXPECT_EQ(make(JoinMode::kLeftOuter).NumRows(), 4u);
   EXPECT_EQ(make(JoinMode::kAnti).NumRows(), 2u);
   EXPECT_EQ(make(JoinMode::kSemi).NumRows(), 1u);
-}
-
-TEST_F(ExecTest, SortMergeIteratorModes) {
-  auto make = [&](JoinMode mode) {
-    auto it = std::make_unique<SortMergeJoinIterator>(
-        std::make_unique<ScanIterator>(&db_.relation(r_)),
-        std::make_unique<ScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
-        mode);
-    return Drain(it.get());
-  };
-  EXPECT_EQ(make(JoinMode::kInner).NumRows(), 2u);
-  EXPECT_EQ(make(JoinMode::kLeftOuter).NumRows(), 4u);
-  EXPECT_EQ(make(JoinMode::kAnti).NumRows(), 2u);
-  EXPECT_EQ(make(JoinMode::kSemi).NumRows(), 1u);
-  // Rescan safety for the blocking operator.
-  auto it = std::make_unique<SortMergeJoinIterator>(
-      std::make_unique<ScanIterator>(&db_.relation(r_)),
-      std::make_unique<ScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
-      JoinMode::kInner);
-  Relation first = Drain(it.get());
-  Relation second = Drain(it.get());
-  EXPECT_TRUE(BagEquals(first, second));
 }
 
 TEST_F(ExecTest, HashAndNestedLoopAgree) {
   for (JoinMode mode : {JoinMode::kInner, JoinMode::kLeftOuter,
                         JoinMode::kAnti, JoinMode::kSemi}) {
-    auto nl = std::make_unique<NestedLoopJoinIterator>(
-        std::make_unique<ScanIterator>(&db_.relation(r_)),
-        std::make_unique<ScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
+    auto nl = std::make_unique<BatchNestedLoopJoinIterator>(
+        std::make_unique<BatchScanIterator>(&db_.relation(r_)),
+        std::make_unique<BatchScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
         mode);
-    auto hash = std::make_unique<HashJoinIterator>(
-        std::make_unique<ScanIterator>(&db_.relation(r_)),
-        std::make_unique<ScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
+    auto hash = std::make_unique<BatchHashJoinIterator>(
+        std::make_unique<BatchScanIterator>(&db_.relation(r_)),
+        std::make_unique<BatchScanIterator>(&db_.relation(s_)), EqCols(a_, c_),
         mode, std::vector<AttrId>{a_}, std::vector<AttrId>{c_});
-    EXPECT_TRUE(BagEquals(Drain(nl.get()), Drain(hash.get())));
+    EXPECT_TRUE(BagEquals(DrainBatches(nl.get()), DrainBatches(hash.get())));
   }
 }
 
-TEST_F(ExecTest, BuildIteratorMatchesEvalOnHandwrittenQuery) {
+TEST_F(ExecTest, BuildBatchIteratorMatchesEvalOnHandwrittenQuery) {
   ExprPtr q = Expr::Restrict(
       Expr::OuterJoin(Expr::Leaf(r_, db_), Expr::Leaf(s_, db_),
                       EqCols(a_, c_)),
       CmpLit(CmpOp::kGe, b_, Value::Int(20)));
-  EXPECT_TRUE(BagEquals(ExecutePipelined(q, db_), Eval(q, db_)));
+  EXPECT_TRUE(BagEquals(ExecuteBatched(q, db_), Eval(q, db_)));
 }
 
 TEST_F(ExecTest, SymmetricFormsExecute) {
@@ -156,14 +134,14 @@ TEST_F(ExecTest, SymmetricFormsExecute) {
                                      /*preserves_left=*/false);
   ExprPtr forward = Expr::OuterJoin(Expr::Leaf(r_, db_),
                                     Expr::Leaf(s_, db_), EqCols(a_, c_));
-  EXPECT_TRUE(BagEquals(ExecutePipelined(backward, db_),
-                        ExecutePipelined(forward, db_)));
+  EXPECT_TRUE(BagEquals(ExecuteBatched(backward, db_),
+                        ExecuteBatched(forward, db_)));
 }
 
 TEST_F(ExecTest, GojIteratorMatchesKernel) {
   ExprPtr goj = Expr::Goj(Expr::Leaf(r_, db_), Expr::Leaf(s_, db_),
                           EqCols(a_, c_), AttrSet::Of({a_}));
-  EXPECT_TRUE(BagEquals(ExecutePipelined(goj, db_), Eval(goj, db_)));
+  EXPECT_TRUE(BagEquals(ExecuteBatched(goj, db_), Eval(goj, db_)));
 }
 
 TEST_F(ExecTest, EmptyInputs) {
@@ -172,13 +150,13 @@ TEST_F(ExecTest, EmptyInputs) {
   RelId e2 = *db.AddRelation("E2", {"y"});
   ExprPtr q = Expr::OuterJoin(Expr::Leaf(e1, db), Expr::Leaf(e2, db),
                               EqCols(db.Attr("E1", "x"), db.Attr("E2", "y")));
-  EXPECT_EQ(ExecutePipelined(q, db).NumRows(), 0u);
+  EXPECT_EQ(ExecuteBatched(q, db).NumRows(), 0u);
 }
 
-// The flagship cross-validation: pipelined execution agrees with the
+// The flagship cross-validation: batch execution agrees with the
 // reference evaluator on random implementing trees, under both physical
 // strategies.
-TEST(ExecPropertyTest, PipelinedAgreesWithEvalOnRandomQueries) {
+TEST(ExecPropertyTest, BatchedAgreesWithEvalOnRandomQueries) {
   Rng rng(1801);
   for (int trial = 0; trial < 40; ++trial) {
     RandomQueryOptions options;
@@ -189,10 +167,10 @@ TEST(ExecPropertyTest, PipelinedAgreesWithEvalOnRandomQueries) {
     ASSERT_NE(tree, nullptr);
     Relation reference = Eval(tree, *q.db);
     EXPECT_TRUE(BagEquals(reference,
-                          ExecutePipelined(tree, *q.db, JoinAlgo::kAuto)))
+                          ExecuteBatched(tree, *q.db, JoinAlgo::kAuto)))
         << tree->ToString();
     EXPECT_TRUE(BagEquals(
-        reference, ExecutePipelined(tree, *q.db, JoinAlgo::kNestedLoop)))
+        reference, ExecuteBatched(tree, *q.db, JoinAlgo::kNestedLoop)))
         << tree->ToString();
   }
 }
@@ -204,9 +182,9 @@ TEST(ExecPropertyTest, PipelinesRescanCleanly) {
   options.num_relations = 4;
   GeneratedQuery q = GenerateRandomQuery(options, &rng);
   ExprPtr tree = RandomIt(q.graph, *q.db, &rng);
-  IteratorPtr root = BuildIterator(tree, *q.db);
-  Relation first = Drain(root.get());
-  Relation second = Drain(root.get());
+  BatchIteratorPtr root = BuildBatchIterator(tree, *q.db);
+  Relation first = DrainBatches(root.get());
+  Relation second = DrainBatches(root.get());
   EXPECT_TRUE(BagEquals(first, second));
 }
 
@@ -219,12 +197,13 @@ TEST(ExecPropertyTest, EarlyCloseAndReopen) {
   options.rows.rows_min = 3;
   GeneratedQuery q = GenerateRandomQuery(options, &rng);
   ExprPtr tree = RandomIt(q.graph, *q.db, &rng);
-  IteratorPtr root = BuildIterator(tree, *q.db);
+  BatchIteratorPtr root = BuildBatchIterator(tree, *q.db, JoinAlgo::kAuto,
+                                             /*batch_capacity=*/1);
   root->Open();
-  Tuple tuple;
-  root->Next(&tuple);  // consume at most one row
+  TupleBatch batch(1);
+  root->NextBatch(&batch);  // consume at most one row
   root->Close();
-  Relation full = Drain(root.get());
+  Relation full = DrainBatches(root.get());
   EXPECT_TRUE(BagEquals(full, Eval(tree, *q.db)));
 }
 

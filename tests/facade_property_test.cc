@@ -1,5 +1,5 @@
 // Facade-level invariants: optimizer idempotence and stability, and
-// composition with the pipelined executor.
+// composition with the batch executor.
 
 #include <gtest/gtest.h>
 
@@ -46,7 +46,7 @@ TEST(FacadePropertyTest, OptimizeIsDeterministic) {
   EXPECT_EQ(a->cost, b->cost);
 }
 
-TEST(FacadePropertyTest, OptimizedPlansExecutePipelined) {
+TEST(FacadePropertyTest, OptimizedPlansExecuteBatched) {
   Rng rng(2803);
   for (int trial = 0; trial < 25; ++trial) {
     RandomQueryOptions options;
@@ -56,7 +56,7 @@ TEST(FacadePropertyTest, OptimizedPlansExecutePipelined) {
     ExprPtr tree = RandomIt(q.graph, *q.db, &rng);
     Result<OptimizeOutcome> outcome = Optimize(tree, *q.db);
     ASSERT_TRUE(outcome.ok());
-    EXPECT_TRUE(BagEquals(ExecutePipelined(outcome->plan, *q.db),
+    EXPECT_TRUE(BagEquals(ExecuteBatched(outcome->plan, *q.db),
                           Eval(tree, *q.db)))
         << tree->ToString() << " => " << outcome->plan->ToString();
   }

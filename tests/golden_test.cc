@@ -28,8 +28,8 @@ TEST(GoldenTest, DeptEmpOuterjoinListing) {
       "  (2, 'Sales', 'Queretaro', 12, 'Cy', 2, 11)\n"
       "  (3, 'Archive', 'Zurich', -, -, -, -)\n";
   EXPECT_EQ(CanonicalString(Eval(listing, *db), &db->catalog()), kExpected);
-  // The pipelined executor produces the identical canonical text.
-  EXPECT_EQ(CanonicalString(ExecutePipelined(listing, *db), &db->catalog()),
+  // The batch executor produces the identical canonical text.
+  EXPECT_EQ(CanonicalString(ExecuteBatched(listing, *db), &db->catalog()),
             kExpected);
 }
 

@@ -39,11 +39,11 @@ TEST(IntegrationTest, FullStackAgreesOnRandomNestedQueries) {
     EXPECT_TRUE(BagEquals(plain->relation, optimized->relation))
         << g.query_text;
 
-    // The Volcano executor agrees with the materializing evaluator on
+    // The materializing evaluator agrees with the executed result on
     // the optimized plan.
-    Relation pipelined = ExecutePipelined(optimized->optimize.plan,
-                                          *optimized->translation.db);
-    EXPECT_TRUE(BagEquals(pipelined, optimized->relation)) << g.query_text;
+    Relation evaluated =
+        Eval(optimized->optimize.plan, *optimized->translation.db);
+    EXPECT_TRUE(BagEquals(evaluated, optimized->relation)) << g.query_text;
 
     // And every implementing tree of the translated block agrees with
     // the executed result (Theorem 1, end to end). Bound the tree count

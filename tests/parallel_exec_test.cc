@@ -292,11 +292,9 @@ TEST_F(ParallelEquivTest, ExchangeReopensCleanly) {
 TEST_F(ParallelEquivTest, ExplainAnalyzeShowsExchangeWithSerialTotals) {
   ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
   ExplainAnalyzeResult serial =
-      ExplainAnalyze(expr, db_, JoinAlgo::kAuto, ExecEngine::kBatch,
-                     /*threads=*/1);
+      ExplainAnalyze(expr, db_, JoinAlgo::kAuto, /*threads=*/1);
   ExplainAnalyzeResult parallel =
-      ExplainAnalyze(expr, db_, JoinAlgo::kAuto, ExecEngine::kBatch,
-                     /*threads=*/4);
+      ExplainAnalyze(expr, db_, JoinAlgo::kAuto, /*threads=*/4);
   EXPECT_EQ(serial.text.find("Exchange"), std::string::npos) << serial.text;
   EXPECT_NE(parallel.text.find("Exchange"), std::string::npos)
       << parallel.text;
