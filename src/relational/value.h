@@ -39,6 +39,14 @@ class Value {
   double AsDouble() const;
   const std::string& AsString() const;
 
+  /// Check-free payload reads for hot loops: the payload when the value
+  /// has that kind, otherwise null.
+  const int64_t* IfInt() const { return std::get_if<int64_t>(&rep_); }
+  const double* IfDouble() const { return std::get_if<double>(&rep_); }
+  const std::string* IfString() const {
+    return std::get_if<std::string>(&rep_);
+  }
+
   /// Numeric reading of an int or double value (ints widen losslessly for
   /// the magnitudes this library uses).
   double NumericValue() const;

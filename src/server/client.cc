@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace fro {
 
@@ -47,7 +48,7 @@ Result<Response> FroClient::Call(const Request& request) {
   FRO_RETURN_IF_ERROR(WriteFrame(fd_, SerializeRequest(request)));
   std::string payload;
   FRO_RETURN_IF_ERROR(ReadFrame(fd_, &payload));
-  return ParseResponse(payload);
+  return ParseResponse(std::move(payload));
 }
 
 Result<Response> FroClient::Query(const std::string& text,

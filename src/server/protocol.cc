@@ -6,6 +6,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <string_view>
+#include <utility>
 
 #include "common/str_util.h"
 
@@ -155,10 +158,11 @@ std::string SerializeResponse(const Response& response) {
          message;
 }
 
-Result<Response> ParseResponse(const std::string& payload) {
+Result<Response> ParseResponse(std::string payload) {
   Response response;
   if (StartsWith(payload, "OK\n")) {
-    response.body = payload.substr(3);
+    payload.erase(0, 3);
+    response.body = std::move(payload);
     return response;
   }
   // A bare "OK" status line with no body is legal; anything else glued
@@ -176,24 +180,31 @@ Result<Response> ParseResponse(const std::string& payload) {
   return response;
 }
 
-Status WriteFrame(int fd, const std::string& payload) {
-  if (payload.size() > kMaxFrameBytes) {
+namespace {
+
+// Writes one frame whose payload is `head` followed by `tail`: the
+// 4-byte header and both parts leave through one gathering sendmsg, so
+// nothing is copied into a wire buffer.
+Status WriteGathered(int fd, std::string_view head, std::string_view tail) {
+  const size_t size = head.size() + tail.size();
+  if (size > kMaxFrameBytes) {
     return InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
-  const uint32_t n = static_cast<uint32_t>(payload.size());
+  const uint32_t n = static_cast<uint32_t>(size);
   char header[4] = {static_cast<char>(n >> 24), static_cast<char>(n >> 16),
                     static_cast<char>(n >> 8), static_cast<char>(n)};
-  // Gathering write: the 4-byte header and the payload leave through one
-  // sendmsg, so a response costs no header+payload copy into a fresh
-  // wire buffer.
-  struct iovec iov[2];
-  iov[0].iov_base = header;
-  iov[0].iov_len = sizeof(header);
-  iov[1].iov_base = const_cast<char*>(payload.data());
-  iov[1].iov_len = payload.size();
+  struct iovec iov[3];
+  size_t count = 0;
+  iov[count].iov_base = header;
+  iov[count++].iov_len = sizeof(header);
+  for (std::string_view part : {head, tail}) {
+    if (part.empty()) continue;
+    iov[count].iov_base = const_cast<char*>(part.data());
+    iov[count++].iov_len = part.size();
+  }
   struct msghdr msg{};
   msg.msg_iov = iov;
-  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  msg.msg_iovlen = count;
   while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a peer that closed mid-write yields EPIPE, not a
     // process-wide SIGPIPE.
@@ -215,6 +226,19 @@ Status WriteFrame(int fd, const std::string& payload) {
     }
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status WriteFrame(int fd, const std::string& payload) {
+  return WriteGathered(fd, payload, {});
+}
+
+Status WriteResponse(int fd, const Response& response) {
+  if (!response.status.ok()) {
+    return WriteFrame(fd, SerializeResponse(response));
+  }
+  return WriteGathered(fd, "OK\n", response.body);
 }
 
 Status ReadFrame(int fd, std::string* payload, bool* mid_frame_eof) {

@@ -49,6 +49,9 @@ namespace fro {
 /// driven by four hostile bytes).
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
+/// Largest body an OK response can carry: its payload is "OK\n" + body.
+inline constexpr size_t kMaxOkBodyBytes = kMaxFrameBytes - 3;
+
 /// Request verbs, in wire spelling.
 enum class Verb : uint8_t {
   kQuery,
@@ -90,8 +93,10 @@ Result<Request> ParseRequest(const std::string& payload);
 std::string SerializeRequest(const Request& request);
 
 /// Renders/parses the response payload ("OK\n<body>" / "ERR code msg").
+/// ParseResponse strips an OK payload's status line in place and moves
+/// the rest into the body.
 std::string SerializeResponse(const Response& response);
-Result<Response> ParseResponse(const std::string& payload);
+Result<Response> ParseResponse(std::string payload);
 
 // --- Socket framing (blocking fd I/O) --------------------------------------
 
@@ -99,6 +104,11 @@ Result<Response> ParseResponse(const std::string& payload);
 /// payload go out through one gathering sendmsg — no per-response
 /// header+payload copy into a wire buffer.
 Status WriteFrame(int fd, const std::string& payload);
+
+/// Writes `response` as one frame carrying SerializeResponse(response).
+/// An OK response gathers the header, the "OK\n" status line and the
+/// body into one sendmsg, so the body is never copied.
+Status WriteResponse(int fd, const Response& response);
 
 /// Reads one frame into `*payload`. Returns Unavailable("connection
 /// closed") on a clean EOF at a frame boundary, InvalidArgument on an

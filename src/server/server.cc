@@ -133,7 +133,7 @@ void FroServer::AcceptLoop() {
       Response overload;
       overload.status = ResourceExhausted("server overloaded: admission "
                                           "queue full");
-      WriteFrame(fd, SerializeResponse(overload));
+      WriteResponse(fd, overload);
       ::close(fd);
     }
   }
@@ -185,7 +185,7 @@ void FroServer::ServeConnection(int fd) {
         metrics_.RecordFrameError();
         Response err;
         err.status = read;
-        WriteFrame(fd, SerializeResponse(err));
+        WriteResponse(fd, err);
       }
       return;
     }
@@ -199,7 +199,7 @@ void FroServer::ServeConnection(int fd) {
     } else {
       response = Dispatch(*request);
     }
-    if (!WriteFrame(fd, SerializeResponse(response)).ok()) return;
+    if (!WriteResponse(fd, response).ok()) return;
   }
 }
 

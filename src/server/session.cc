@@ -35,14 +35,16 @@ Result<PlannedQuery> Plan(const NestedDb& db, const SelectQuery& ast,
   return planned;
 }
 
+// The QUERY body: the canonical, unlimited table and its row-count
+// footer, rendered into one buffer.
 std::string RenderResult(const Relation& relation, const Catalog& catalog,
                          const std::string& notes) {
   PrettyOptions pretty;
   pretty.canonical = true;
   pretty.max_rows = static_cast<size_t>(-1);
-  std::string body = PrettyTable(relation, &catalog, pretty);
-  body += "(" + std::to_string(relation.NumRows()) + " rows; " + notes + ")\n";
-  return body;
+  const std::string footer =
+      "(" + std::to_string(relation.NumRows()) + " rows; " + notes + ")\n";
+  return PrettyTable(relation, &catalog, pretty, footer);
 }
 
 }  // namespace
@@ -159,6 +161,16 @@ Response QuerySession::RunQueryVerb(const std::string& text, int threads,
   response.body = RenderResult(result->relation,
                                result->translation.db->catalog(),
                                result->optimize.Summary());
+  if (response.body.size() > kMaxOkBodyBytes) {
+    // WriteResponse would refuse this frame and the server would drop
+    // the connection; answer with an error the client can read instead.
+    response.status = ResourceExhausted(
+        "result of " + std::to_string(result->relation.NumRows()) +
+        " rows renders to " + std::to_string(response.body.size()) +
+        " bytes, over the " + std::to_string(kMaxOkBodyBytes) +
+        "-byte response limit");
+    response.body.clear();
+  }
   return response;
 }
 

@@ -1,7 +1,8 @@
 // The wire protocol, exercised at every layer: request/response
 // parse/serialize round trips (including the `?threads=` option),
 // strict OK-line parsing ("OKgarbage" is a malformed frame, not an
-// empty-body success), and the socket framing over a socketpair —
+// empty-body success), the gathered OK frame's bytes (identical to the
+// serialized response's frame), and the socket framing over a socketpair —
 // truncated headers, over-limit declared lengths, and the peer dying
 // between a frame's header and its payload, which must be reported as a
 // mid-frame EOF (and counted as a frame error by the server), never as
@@ -236,6 +237,49 @@ TEST_F(FramePairTest, OverLimitDeclaredLengthRejected) {
 TEST_F(FramePairTest, OversizedPayloadRefusedBeforeSending) {
   const std::string big(kMaxFrameBytes + 1, 'z');
   EXPECT_EQ(WriteFrame(writer(), big).code(), StatusCode::kInvalidArgument);
+}
+
+// Reads exactly `n` raw bytes (header included) off the socket.
+std::string ReadRaw(int fd, size_t n) {
+  std::string out(n, '\0');
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::recv(fd, out.data() + got, n - got, 0);
+    if (r <= 0) break;
+    got += static_cast<size_t>(r);
+  }
+  out.resize(got);
+  return out;
+}
+
+TEST_F(FramePairTest, GatheredResponseBytesEqualSerializedFrame) {
+  std::vector<Response> responses(5);
+  responses[1].body = "OK";
+  responses[2].body = "a | b\n--+--\n1 | 2\n(1 rows; x)\n";
+  responses[3].body = std::string(50000, 'q');
+  responses[4].status = NotFound("no such\nthing");
+  for (const Response& response : responses) {
+    const size_t n = 4 + SerializeResponse(response).size();
+    ASSERT_TRUE(WriteFrame(writer(), SerializeResponse(response)).ok());
+    const std::string expected = ReadRaw(reader(), n);
+    ASSERT_TRUE(WriteResponse(writer(), response).ok());
+    EXPECT_EQ(ReadRaw(reader(), n), expected) << response.body.size();
+
+    ASSERT_TRUE(WriteResponse(writer(), response).ok());
+    std::string payload;
+    ASSERT_TRUE(ReadFrame(reader(), &payload).ok());
+    Result<Response> parsed = ParseResponse(std::move(payload));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->status.code(), response.status.code());
+    EXPECT_EQ(parsed->body, response.body);
+  }
+}
+
+TEST_F(FramePairTest, OversizedOkBodyRefusedBeforeSending) {
+  Response response;
+  response.body.assign(kMaxOkBodyBytes + 1, 'z');
+  EXPECT_EQ(WriteResponse(writer(), response).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- ThreadBudget ----------------------------------------------------------

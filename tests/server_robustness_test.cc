@@ -1,6 +1,7 @@
 // Fuzz-style robustness: malformed and truncated protocol frames plus
 // malformed Section 5 query texts must produce error responses (or a
-// dropped connection) while the server keeps serving everyone else. The
+// dropped connection) while the server keeps serving everyone else, and
+// a result too large for one frame is an error on a live connection. The
 // sanitizer CI jobs run this binary under ASan/TSan, so surviving also
 // means no leaks and no races on the error paths.
 
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "lang/lang.h"
+#include "relational/pretty.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "testing/nested_sample.h"
@@ -205,6 +208,52 @@ TEST_F(ServerRobustnessTest, RandomBytesNeverKillTheServer) {
   AssertServerAlive();
   // The error paths were actually exercised, not silently skipped.
   EXPECT_GT(server_->metrics().frame_errors(), 0u);
+}
+
+// A QUERY whose table is larger than one frame is answered with
+// ResourceExhausted, naming its row count and rendered size, and the
+// connection keeps serving: the server used to render the table, have
+// WriteFrame refuse it, and drop the connection.
+TEST(ServerOversizedResultTest, OverLimitTableIsAnErrorOnALiveConnection) {
+  // The unconstrained five-way self-join grows with the square of the
+  // scale: about 375 KB rendered at scale 20.
+  constexpr int kScale = 40;
+  const char* const kFiveWay =
+      "Select All From EMPLOYEE E1, DEPARTMENT D1, EMPLOYEE E2, "
+      "DEPARTMENT D2, EMPLOYEE E3 "
+      "Where E1.D# = D1.D# and E2.D# = D1.D# and E2.Rank = E3.Rank "
+      "and E3.D# = D2.D#";
+  const NestedDb db = MakeScaledCompanyNestedDb(kScale);
+  Result<QueryRunResult> local = RunQuery(db, kFiveWay);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  PrettyOptions pretty;
+  pretty.max_rows = static_cast<size_t>(-1);
+  const size_t table_bytes =
+      PrettyTable(local->relation, &local->translation.db->catalog(), pretty)
+          .size();
+  ASSERT_GT(table_bytes, kMaxFrameBytes);
+
+  FroServer server(&db, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  FroClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  Result<Response> big = client.Query(kFiveWay);
+  ASSERT_TRUE(big.ok()) << "transport died: " << big.status().ToString();
+  EXPECT_EQ(big->status.code(), StatusCode::kResourceExhausted)
+      << big->status.ToString();
+  EXPECT_NE(big->status.message().find(
+                "result of " + std::to_string(local->relation.NumRows()) +
+                " rows renders to "),
+            std::string::npos)
+      << big->status.message();
+  EXPECT_TRUE(big->body.empty());
+
+  Result<Response> small =
+      client.Query("Select All From EMPLOYEE Where EMPLOYEE.Rank = 7");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_TRUE(small->status.ok()) << small->status.ToString();
+  EXPECT_FALSE(small->body.empty());
+  server.Stop();
 }
 
 }  // namespace
