@@ -8,7 +8,6 @@
 #include "relational/database.h"
 #include "relational/index.h"
 #include "relational/ops.h"
-#include "relational/sort_merge.h"
 
 namespace fro {
 namespace {
@@ -96,40 +95,6 @@ BENCHMARK(BM_Antijoin_Hash)
     ->Arg(8192)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Semijoin_Hash)
-    ->Arg(1024)
-    ->Arg(8192)
-    ->Unit(benchmark::kMicrosecond);
-
-// Sort-merge strategy, same workload as the hash rows above.
-void BM_Join_SortMerge(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  Fixture f = MakeFixture(rows, rows);
-  const Relation& left = f.db->relation(f.left);
-  const Relation& right = f.db->relation(f.right);
-  for (auto _ : state) {
-    Relation out = SortMergeJoin(left, right, f.pred, nullptr);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_Join_SortMerge)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(8192)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_OuterJoin_SortMerge(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  Fixture f = MakeFixture(rows, rows);
-  const Relation& left = f.db->relation(f.left);
-  const Relation& right = f.db->relation(f.right);
-  for (auto _ : state) {
-    Relation out = SortMergeLeftOuterJoin(left, right, f.pred, nullptr);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_OuterJoin_SortMerge)
     ->Arg(1024)
     ->Arg(8192)
     ->Unit(benchmark::kMicrosecond);

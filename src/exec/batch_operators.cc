@@ -282,26 +282,28 @@ Scheme JoinOutScheme(const Scheme& left, const Scheme& right, JoinMode mode) {
 BatchNestedLoopJoinIterator::BatchNestedLoopJoinIterator(
     BatchIteratorPtr left, BatchIteratorPtr right, PredicatePtr pred,
     JoinMode mode, size_t batch_capacity)
+    : BatchNestedLoopJoinIterator(std::move(left),
+                                  JoinBuildInput(std::move(right), {}),
+                                  std::move(pred), mode, batch_capacity) {}
+
+BatchNestedLoopJoinIterator::BatchNestedLoopJoinIterator(
+    BatchIteratorPtr left, JoinBuildInput build, PredicatePtr pred,
+    JoinMode mode, size_t batch_capacity)
     : left_(std::move(left)),
-      right_(std::move(right)),
+      build_(std::move(build)),
       pred_(std::move(pred)),
       mode_(mode),
-      out_scheme_(JoinOutScheme(left_->scheme(), right_->scheme(), mode)),
-      joined_scheme_(left_->scheme().Concat(right_->scheme())),
-      input_(batch_capacity) {}
+      out_scheme_(JoinOutScheme(left_->scheme(), build_.scheme(), mode)),
+      joined_scheme_(left_->scheme().Concat(build_.scheme())),
+      input_(batch_capacity) {
+  FRO_CHECK(build_.side().keys().empty());
+}
 
 void BatchNestedLoopJoinIterator::OpenImpl() {
   left_->Open();
   if (pred_ != nullptr) bound_.Bind(pred_, joined_scheme_);
   // Materialize the right input once (block nested loop).
-  right_rows_.clear();
-  right_->Open();
-  TupleBatch scratch;
-  while (right_->NextBatch(&scratch)) {
-    const size_t n = scratch.size();
-    for (size_t i = 0; i < n; ++i) right_rows_.push_back(scratch.selected(i));
-  }
-  right_->Close();
+  build_.Open();
   input_.Clear();
   input_pos_ = 0;
   left_active_ = false;
@@ -321,10 +323,11 @@ bool BatchNestedLoopJoinIterator::NextBatchImpl(TupleBatch* out) {
       left_active_ = true;
     }
     const Tuple& lrow = input_.selected(input_pos_);
+    const JoinBuildSide& build = build_.side();
     bool dropped_left = false;
-    while (right_pos_ < right_rows_.size()) {
+    while (right_pos_ < build.NumRows()) {
       if (out->full()) return true;
-      const Tuple& rrow = right_rows_[right_pos_++];
+      const Tuple& rrow = build.row(right_pos_++);
       ++mutable_stats().right_reads;
       // Build the candidate directly in the output slot; commit only on a
       // predicate match.
@@ -356,7 +359,7 @@ bool BatchNestedLoopJoinIterator::NextBatchImpl(TupleBatch* out) {
       const bool unmatched = !left_had_match_;
       if (mode_ == JoinMode::kLeftOuter && unmatched) {
         if (out->full()) return true;
-        out->AppendSlot()->AssignConcatNulls(lrow, right_->scheme().size());
+        out->AppendSlot()->AssignConcatNulls(lrow, build.scheme().size());
       } else if (mode_ == JoinMode::kAnti && unmatched) {
         if (out->full()) return true;
         out->AppendSlot()->AssignFrom(lrow);
@@ -369,7 +372,7 @@ bool BatchNestedLoopJoinIterator::NextBatchImpl(TupleBatch* out) {
 
 void BatchNestedLoopJoinIterator::CloseImpl() {
   left_->Close();
-  right_rows_.clear();
+  build_.Close();
   left_active_ = false;
 }
 
@@ -379,28 +382,14 @@ const Scheme& BatchNestedLoopJoinIterator::scheme() const {
 
 // --- Hash join ---------------------------------------------------------
 
-BatchHashJoinIterator::BatchHashJoinIterator(
-    BatchIteratorPtr left, BatchIteratorPtr right, PredicatePtr pred,
-    JoinMode mode, std::vector<AttrId> left_keys,
-    std::vector<AttrId> right_keys, size_t batch_capacity)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      pred_(std::move(pred)),
-      mode_(mode),
-      out_scheme_(JoinOutScheme(left_->scheme(), right_->scheme(), mode)),
-      joined_scheme_(left_->scheme().Concat(right_->scheme())),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      input_(batch_capacity) {
-  FRO_CHECK(!left_keys_.empty());
-  FRO_CHECK_EQ(left_keys_.size(), right_keys_.size());
-  for (AttrId attr : left_keys_) {
-    int pos = left_->scheme().IndexOf(attr);
-    FRO_CHECK_GE(pos, 0);
-    left_key_positions_.push_back(pos);
-  }
-}
+namespace {
 
+/// The conjuncts of `pred` an equi-key index probe on (left_keys[i],
+/// right_keys[i]) does NOT discharge. A conjunct `l = r` whose column
+/// pair is one of the key pairs is decided exactly by the probe's
+/// normalized-key equality (SQL equality on non-null keys; null keys
+/// never probe), so only the remaining conjuncts need per-candidate
+/// re-evaluation. Returns nullptr when nothing remains.
 PredicatePtr ResidualAfterEquiKeys(const PredicatePtr& pred,
                                    const std::vector<AttrId>& left_keys,
                                    const std::vector<AttrId>& right_keys) {
@@ -424,177 +413,65 @@ PredicatePtr ResidualAfterEquiKeys(const PredicatePtr& pred,
   return Predicate::And(std::move(residual));
 }
 
-namespace {
-
-// The flat probe table hashes with HashNumericKey (relational/column.h),
-// shared with the batched HashColumns primitive so dense-hashed probes
-// land in the same buckets the build filled.
-
-/// NormalizeHashKeyValue restricted to numeric values: the normalized
-/// double, or nothing when the value is null or non-numeric.
-std::optional<double> NumericKey(const Value& v) {
-  if (v.kind() == Value::Kind::kInt) {
-    return static_cast<double>(v.AsInt());
+/// Scheme positions of `attrs`, each of which must be in `scheme`.
+std::vector<int> PositionsIn(const Scheme& scheme,
+                             const std::vector<AttrId>& attrs) {
+  std::vector<int> positions;
+  for (AttrId attr : attrs) {
+    const int pos = scheme.IndexOf(attr);
+    FRO_CHECK_GE(pos, 0);
+    positions.push_back(pos);
   }
-  if (v.kind() == Value::Kind::kDouble) {
-    // Collapse -0.0 to +0.0 so equal keys hash identically.
-    const double d = v.AsDouble();
-    return d == 0.0 ? 0.0 : d;
-  }
-  return std::nullopt;
+  return positions;
 }
 
 }  // namespace
 
+BatchHashJoinIterator::BatchHashJoinIterator(
+    BatchIteratorPtr left, BatchIteratorPtr right, PredicatePtr pred,
+    JoinMode mode, std::vector<AttrId> left_keys,
+    std::vector<AttrId> right_keys, size_t batch_capacity)
+    : BatchHashJoinIterator(std::move(left),
+                            JoinBuildInput(std::move(right),
+                                           std::move(right_keys)),
+                            std::move(pred), mode, std::move(left_keys),
+                            batch_capacity) {}
+
+BatchHashJoinIterator::BatchHashJoinIterator(BatchIteratorPtr left,
+                                             JoinBuildInput build,
+                                             PredicatePtr pred, JoinMode mode,
+                                             std::vector<AttrId> left_keys,
+                                             size_t batch_capacity)
+    : left_(std::move(left)),
+      build_(std::move(build)),
+      pred_(std::move(pred)),
+      mode_(mode),
+      out_scheme_(JoinOutScheme(left_->scheme(), build_.scheme(), mode)),
+      joined_scheme_(left_->scheme().Concat(build_.scheme())),
+      left_key_positions_(PositionsIn(left_->scheme(), left_keys)),
+      input_(batch_capacity) {
+  FRO_CHECK(!left_keys.empty());
+  FRO_CHECK_EQ(left_keys.size(), build_.side().keys().size());
+  residual_ = ResidualAfterEquiKeys(pred_, left_keys, build_.side().keys());
+}
+
 void BatchHashJoinIterator::OpenImpl() {
   left_->Open();
-  residual_ = ResidualAfterEquiKeys(pred_, left_keys_, right_keys_);
   if (residual_ != nullptr) bound_.Bind(residual_, joined_scheme_);
-  // Build phase: materialize and index the right input, once per Open().
-  // Zero-copy detection: a plain base-relation scan streams the whole of
-  // one columnized relation as contiguous unselected views; when every
-  // batch fits that pattern the build references the relation (and its
-  // shared columnar mirror) instead of copying every tuple. The child is
-  // still drained normally so its ExecStats match the evaluator's.
-  Relation raw(right_->scheme());
-  right_->Open();
-  TupleBatch scratch;
-  const RelationColumns* shared = nullptr;
-  size_t shared_end = 0;
-  bool zero_copy = true;
-  while (right_->NextBatch(&scratch)) {
-    const size_t n = scratch.size();
-    if (zero_copy) {
-      size_t off = 0;
-      const RelationColumns* src = scratch.view_source(&off);
-      if (src != nullptr && !scratch.sel_active() &&
-          (shared == nullptr ? off == 0 : (src == shared &&
-                                           off == shared_end))) {
-        shared = src;
-        shared_end += n;
-        continue;  // rows already live in the relation
-      }
-      // Pattern broke: backfill the prefix we skipped, then copy.
-      zero_copy = false;
-      for (size_t i = 0; i < shared_end; ++i) {
-        raw.AddRow(shared->relation().row(i));
-      }
-    }
-    for (size_t i = 0; i < n; ++i) raw.AddRow(scratch.selected(i));
-  }
-  right_->Close();
-  if (zero_copy && shared != nullptr &&
-      shared_end == shared->relation().NumRows()) {
-    build_side_ = Relation();
-    build_rel_ = &shared->relation();
-    shared_build_cols_ = shared;
-  } else {
-    if (zero_copy && shared != nullptr) {
-      // Contiguous views but not the whole relation (e.g. a morsel
-      // range): materialize the drained prefix after all.
-      for (size_t i = 0; i < shared_end; ++i) {
-        raw.AddRow(shared->relation().row(i));
-      }
-    }
-    build_side_ = std::move(raw);
-    build_rel_ = &build_side_;
-    shared_build_cols_ = nullptr;
-  }
-  // Single numeric key: build the flat probe table instead of the
-  // generic HashIndex. Null keys are skipped (they never equi-match); a
-  // non-numeric key value anywhere on the build side falls back to the
-  // generic path, which handles heterogeneous keys.
-  use_fast_index_ = false;
-  if (left_key_positions_.size() == 1 &&
-      build_rel_->NumRows() < (size_t{1} << 30)) {
-    const int build_pos = build_rel_->scheme().IndexOf(right_keys_[0]);
-    FRO_CHECK_GE(build_pos, 0);
-    const size_t n = build_rel_->NumRows();
-    size_t cap = 16;
-    while (cap < n * 2) cap <<= 1;
-    fast_buckets_.assign(cap, FastBucket{0.0, 0});
-    fast_next_.assign(n, 0);
-    fast_mask_ = cap - 1;
-    size_t cap_bits = 0;
-    while ((size_t{1} << cap_bits) < cap) ++cap_bits;
-    fast_shift_ = 64 - cap_bits;
-    // Bloom prefilter: 16 bits per bucket (cap * 2 bytes), addressed by
-    // the hash's top 32 bits so it is independent of the bucket index.
-    fast_bloom_.assign(cap * 2, 0);
-    fast_bloom_mask_ = cap * 2 - 1;
-    // Per-bucket chain tail during the build, so duplicate keys chain in
-    // build order (match order must equal the HashIndex path's).
-    std::vector<uint32_t> tails(cap, 0);
-    use_fast_index_ = true;
-    // Dense key pass when the shared mirror holds the key column typed:
-    // one double/int load + null byte per row, no Value indirection. A
-    // kGeneric column (mixed int/double, strings) and the copied-drain
-    // path fall back to the row loop, which also demotes to the generic
-    // index on the first non-numeric key.
-    const ColumnVector* kc =
-        shared_build_cols_ != nullptr
-            ? &shared_build_cols_->Column(static_cast<size_t>(build_pos))
-            : nullptr;
-    const bool dense_keys =
-        kc != nullptr && (kc->tag() == ColumnVector::Tag::kInt ||
-                          kc->tag() == ColumnVector::Tag::kDouble ||
-                          kc->tag() == ColumnVector::Tag::kEmpty);
-    for (size_t i = 0; i < n; ++i) {
-      double key;
-      if (dense_keys) {
-        if (kc->is_null(i)) continue;  // kEmpty columns are all null
-        key = NormalizedNumericKey(*kc, i);
-      } else {
-        const Value& v =
-            build_rel_->row(i).value(static_cast<size_t>(build_pos));
-        if (v.is_null()) continue;
-        const std::optional<double> k = NumericKey(v);
-        if (!k.has_value()) {
-          use_fast_index_ = false;
-          break;
-        }
-        key = *k;
-      }
-      const uint64_t h = HashNumericKey(key);
-      const uint64_t bh = h >> 32;
-      fast_bloom_[(bh >> 3) & fast_bloom_mask_] |=
-          static_cast<uint8_t>(1u << (bh & 7));
-      size_t b = h >> fast_shift_;
-      while (fast_buckets_[b].head != 0 && !(fast_buckets_[b].key == key)) {
-        b = (b + 1) & fast_mask_;
-      }
-      if (fast_buckets_[b].head == 0) {
-        fast_buckets_[b] = FastBucket{key, static_cast<uint32_t>(i + 1)};
-      } else {
-        fast_next_[tails[b] - 1] = static_cast<uint32_t>(i + 1);
-      }
-      tails[b] = static_cast<uint32_t>(i + 1);
-    }
-  }
-  if (!use_fast_index_) {
-    fast_buckets_.clear();
-    fast_next_.clear();
-    fast_bloom_.clear();
-    normalized_build_ = NormalizeOnKeyColumns(*build_rel_, right_keys_);
-    index_ = std::make_unique<HashIndex>(normalized_build_, right_keys_);
-  }
+  // Build phase: materialize and index the right input, once per Open()
+  // (a shared side was built by the exchange before the workers opened).
+  build_.Open();
+  const JoinBuildSide& build = build_.side();
   // Columnar emission whenever the probe discharges the whole predicate:
   // matches are appended column-by-column from the probe side's columns
   // and the build side's columnized mirror, instead of assembling a
-  // joined Tuple per match. Build columns are materialized once per
-  // Open(), like the index.
+  // joined Tuple per match.
   columnar_emit_ = residual_ == nullptr;
-  build_cols_.reset();
   right_cols_.clear();
   if (columnar_emit_ &&
       (mode_ == JoinMode::kInner || mode_ == JoinMode::kLeftOuter)) {
-    const RelationColumns* cols = shared_build_cols_;
-    if (cols == nullptr) {
-      build_cols_ = std::make_unique<RelationColumns>(&build_side_);
-      cols = build_cols_.get();
-    }
-    for (size_t c = 0; c < build_rel_->scheme().size(); ++c) {
-      right_cols_.push_back(&cols->Column(c));
+    for (size_t c = 0; c < build.scheme().size(); ++c) {
+      right_cols_.push_back(&build.columns().Column(c));
     }
   }
   left_cols_.assign(left_->scheme().size(), nullptr);
@@ -605,8 +482,7 @@ void BatchHashJoinIterator::OpenImpl() {
   input_.Clear();
   input_pos_ = 0;
   left_active_ = false;
-  matches_ = nullptr;
-  fast_match_ = 0;
+  matches_ = BuildMatches();
 }
 
 void BatchHashJoinIterator::FlushGather(TupleBatch* out) {
@@ -636,6 +512,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
   // by value. Semi/anti emit too few values to be worth staging.
   const bool gather = columnar_emit_ && (mode_ == JoinMode::kInner ||
                                          mode_ == JoinMode::kLeftOuter);
+  const JoinBuildSide& build = build_.side();
   for (;;) {
     if (!left_active_) {
       if (input_pos_ >= input_.size()) {
@@ -653,7 +530,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
         // emission refreshes the input's column pointers.
         const size_t raw_n = input_.NumRows();
         probe_dense_ = false;
-        if (use_fast_index_ && raw_n > 0) {
+        if (build.flat() && raw_n > 0) {
           size_t koff = 0;
           const ColumnVector* kc =
               input_.Column(static_cast<size_t>(left_key_positions_[0]),
@@ -665,54 +542,15 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
               HashColumns({kc}, koff, raw_n, probe_keys_.data(),
                           probe_hashes_.data(), probe_has_.data());
           if (probe_dense_) {
-            // Resolve every row's chain head up front, in two passes.
-            // Pass 1 inspects only the home bucket, with no data-
-            // dependent branch in the loop body: hit stores the chain
-            // head, anything else stores 0, and the rare rows whose home
-            // bucket holds a *different* key are flagged in probe_needs_.
-            // That body is a straight-line load/compare/select chain over
-            // a dense index range, which the compiler can if-convert and
-            // vectorize; an embedded probe walk (or any branch on probed
-            // data) measured ~30x slower per row here. Pass 2 finishes
-            // the flagged rows — a few percent at our load factor, and
-            // Bloom-gated so definite misses never walk — with the plain
-            // probe loop. Dead (unselected) rows are resolved too: the
-            // dense pass is cheaper than gathering selection indices,
-            // and their entries are simply never read.
+            // Resolve every row's chain head up front. Dead (unselected)
+            // rows are resolved too: the dense pass is cheaper than
+            // gathering selection indices, and their entries are simply
+            // never read.
             match_head_.resize(raw_n);
             probe_needs_.resize(raw_n);
-            for (size_t raw = 0; raw < raw_n; ++raw) {
-              const uint64_t h = probe_hashes_[raw];
-              const FastBucket& fb = fast_buckets_[h >> fast_shift_];
-              const uint64_t bh = h >> 32;
-              const uint32_t bit =
-                  (fast_bloom_[(bh >> 3) & fast_bloom_mask_] >> (bh & 7)) &
-                  1u;
-              const uint32_t has = probe_has_[raw];
-              const uint32_t occ = fb.head != 0;
-              const uint32_t hit =
-                  has & occ &
-                  static_cast<uint32_t>(fb.key == probe_keys_[raw]);
-              match_head_[raw] = fb.head * hit;
-              probe_needs_[raw] =
-                  static_cast<uint8_t>(has & bit & occ & (hit ^ 1u));
-            }
-            for (size_t raw = 0; raw < raw_n; ++raw) {
-              if (probe_needs_[raw]) {
-                const double key = probe_keys_[raw];
-                size_t b =
-                    ((probe_hashes_[raw] >> fast_shift_) + 1) & fast_mask_;
-                uint32_t m = 0;
-                while (fast_buckets_[b].head != 0) {
-                  if (fast_buckets_[b].key == key) {
-                    m = fast_buckets_[b].head;
-                    break;
-                  }
-                  b = (b + 1) & fast_mask_;
-                }
-                match_head_[raw] = m;
-              }
-            }
+            build.ResolveHeads(probe_keys_.data(), probe_hashes_.data(),
+                               probe_has_.data(), raw_n, match_head_.data(),
+                               probe_needs_.data());
           }
         }
         if (columnar_emit_ && raw_n > 0) {
@@ -727,18 +565,19 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
         }
         continue;
       }
-      if (use_fast_index_ && probe_dense_ && gather && gather_batch_ok_) {
+      if (probe_dense_ && gather && gather_batch_ok_) {
         // Dense probe loop: the whole input batch in one pass — probe,
         // chain walk, and gather-list emission per row with the counters
         // accumulated locally — instead of a trip through the resumable
         // state machine per row. When the output batch fills mid-row the
         // loop suspends into that state machine (left_active_ /
-        // fast_match_), which resumes the chain exactly where the
-        // generic path would.
+        // matches_), which resumes the chain exactly where the generic
+        // path would.
         const size_t cap = out->capacity();
         const size_t base = out->NumRows();
         const size_t live = input_.size();
         const bool pad = mode_ == JoinMode::kLeftOuter;
+        const uint32_t* chain_next = build.flat_next();
         uint64_t rows_probed = 0;
         uint64_t candidates = 0;
         bool suspended = false;
@@ -755,7 +594,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
                   // this row with an exhausted chain and pads it.
                   left_active_ = true;
                   left_had_match_ = false;
-                  fast_match_ = 0;
+                  matches_ = BuildMatches();
                   suspended = true;
                   break;
                 }
@@ -770,7 +609,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
               // Suspend mid-chain; the generic loop resumes at m.
               left_active_ = true;
               left_had_match_ = had;
-              fast_match_ = m;
+              matches_ = build.Chain(m);
               suspended = true;
               break;
             }
@@ -779,7 +618,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
             emit_left_.push_back(static_cast<uint32_t>(left_off_ + raw));
             emit_right_.push_back(ridx);
             had = true;
-            m = fast_next_[ridx];
+            m = chain_next[ridx];
           }
         }
         mutable_stats().left_reads += rows_probed;
@@ -794,74 +633,22 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
       }
       ++mutable_stats().left_reads;
       left_had_match_ = false;
-      match_pos_ = 0;
       ++mutable_stats().probes;
-      if (use_fast_index_) {
-        // A null probe key never matches; a non-numeric one cannot equal
-        // any of the (all-numeric) build keys, so both yield no matches —
-        // exactly what the generic probe would return.
-        fast_match_ = 0;
-        if (probe_dense_) {
-          fast_match_ = match_head_[input_.sel_index(input_pos_)];
-        } else {
-          const Tuple& lrow = input_.selected(input_pos_);
-          const std::optional<double> key = NumericKey(
-              lrow.value(static_cast<size_t>(left_key_positions_[0])));
-          if (key.has_value()) {
-            const uint64_t h = HashNumericKey(*key);
-            const uint64_t bh = h >> 32;
-            if ((fast_bloom_[(bh >> 3) & fast_bloom_mask_] >> (bh & 7)) & 1) {
-              size_t b = h >> fast_shift_;
-              while (fast_buckets_[b].head != 0) {
-                if (fast_buckets_[b].key == *key) {
-                  fast_match_ = fast_buckets_[b].head;
-                  break;
-                }
-                b = (b + 1) & fast_mask_;
-              }
-            }
-          }
-        }
-      } else {
-        const Tuple& lrow = input_.selected(input_pos_);
-        probe_key_.clear();
-        bool null_key = false;
-        for (int pos : left_key_positions_) {
-          Value v =
-              NormalizeHashKeyValue(lrow.value(static_cast<size_t>(pos)));
-          if (v.is_null()) {
-            null_key = true;
-            break;
-          }
-          probe_key_.push_back(std::move(v));
-        }
-        matches_ = null_key
-                       ? &no_matches_
-                       : &index_->Probe(probe_key_.data(), probe_key_.size());
-      }
+      matches_ = probe_dense_
+                     ? build.Chain(match_head_[input_.sel_index(input_pos_)])
+                     : build.Candidates(input_.selected(input_pos_),
+                                        left_key_positions_, &probe_key_);
       left_active_ = true;
     }
     const size_t lraw = input_.sel_index(input_pos_);
     bool dropped_left = false;
-    for (;;) {
-      size_t ridx;
-      if (use_fast_index_) {
-        if (fast_match_ == 0) break;
-        ridx = fast_match_ - 1;
-      } else {
-        if (match_pos_ >= matches_->size()) break;
-        ridx = (*matches_)[match_pos_];
-      }
+    while (!matches_.done()) {
       if (gather ? out->NumRows() + emit_left_.size() >= out->capacity()
                  : out->full()) {
         FlushGather(out);
         return true;
       }
-      if (use_fast_index_) {
-        fast_match_ = fast_next_[ridx];
-      } else {
-        ++match_pos_;
-      }
+      const size_t ridx = matches_.Next();
       ++mutable_stats().right_reads;
       // One predicate check per candidate, as in the kernels. When
       // the predicate is exactly the equi-key conjunction, the probe's
@@ -870,7 +657,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
       ++mutable_stats().predicate_evals;
       if (residual_ != nullptr) {
         const Tuple& lrow = input_.row(lraw);
-        const Tuple& rrow = build_rel_->row(ridx);
+        const Tuple& rrow = build.row(ridx);
         Tuple* slot = out->PeekSlot();
         slot->AssignConcat(lrow, rrow);
         if (!IsTrue(bound_.Eval(*slot))) continue;
@@ -948,7 +735,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
           out->CommitColumnRow();
         } else {
           out->AppendSlot()->AssignConcatNulls(input_.row(lraw),
-                                               right_->scheme().size());
+                                               build.scheme().size());
         }
       } else if (mode_ == JoinMode::kAnti && unmatched) {
         if (out->full()) return true;
@@ -970,14 +757,7 @@ bool BatchHashJoinIterator::NextBatchImpl(TupleBatch* out) {
 
 void BatchHashJoinIterator::CloseImpl() {
   left_->Close();
-  index_.reset();
-  fast_buckets_.clear();
-  fast_next_.clear();
-  fast_bloom_.clear();
-  use_fast_index_ = false;
-  fast_match_ = 0;
-  // build_cols_ points into build_side_; drop it first.
-  build_cols_.reset();
+  build_.Close();
   right_cols_.clear();
   left_cols_.clear();
   columnar_emit_ = false;
@@ -987,50 +767,158 @@ void BatchHashJoinIterator::CloseImpl() {
   emit_left_.clear();
   emit_right_.clear();
   gather_batch_ok_ = false;
-  build_rel_ = nullptr;
-  shared_build_cols_ = nullptr;
-  build_side_ = Relation();
-  normalized_build_ = Relation();
   left_active_ = false;
-  matches_ = nullptr;
+  matches_ = BuildMatches();
 }
 
 const Scheme& BatchHashJoinIterator::scheme() const { return out_scheme_; }
 
 // --- Generalized outerjoin ---------------------------------------------
 
-BatchGojIterator::BatchGojIterator(BatchIteratorPtr left,
-                                   BatchIteratorPtr right, PredicatePtr pred,
-                                   AttrSet subset, JoinAlgo algo)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      pred_(std::move(pred)),
-      subset_(std::move(subset)),
-      algo_(algo),
-      out_scheme_(left_->scheme().Concat(right_->scheme())) {}
-
-void BatchGojIterator::OpenImpl() {
-  Relation left_rel = DrainBatches(left_.get());
-  Relation right_rel = DrainBatches(right_.get());
-  KernelStats ks;
-  result_ = GeneralizedOuterJoin(left_rel, right_rel, pred_, subset_, algo_,
-                                 &ks);
-  ks.emitted = 0;  // counted by the base class as batches stream out
-  mutable_stats() += ks;
-  pos_ = 0;
+void GojPadMerge::Reset(int participants) {
+  std::lock_guard<std::mutex> lock(mu_);
+  matched_.clear();
+  seen_.clear();
+  running_ = participants;
 }
 
-bool BatchGojIterator::NextBatchImpl(TupleBatch* out) {
-  if (pos_ >= result_.NumRows()) return false;
-  while (!out->full() && pos_ < result_.NumRows()) {
-    out->AppendSlot()->AssignFrom(result_.row(pos_++));
+bool GojPadMerge::Finish(Projections* matched, Projections* seen,
+                         std::vector<std::vector<Value>>* missing) {
+  std::lock_guard<std::mutex> lock(mu_);
+  matched_.merge(*matched);
+  seen_.merge(*seen);
+  matched->clear();
+  seen->clear();
+  FRO_CHECK_GT(running_, 0);
+  if (--running_ > 0) return false;  // another participant still streams
+  // The set unions already collapsed projections several participants
+  // saw, so each missing DISTINCT projection is listed once.
+  for (const std::vector<Value>& key : seen_) {
+    if (matched_.count(key) == 0) missing->push_back(key);
   }
+  matched_.clear();
+  seen_.clear();
   return true;
 }
 
+BatchGojIterator::BatchGojIterator(BatchIteratorPtr left,
+                                   JoinBuildInput build,
+                                   std::shared_ptr<GojPadMerge> pads,
+                                   PredicatePtr pred, AttrSet subset,
+                                   std::vector<AttrId> left_keys,
+                                   size_t batch_capacity)
+    : left_(std::move(left)),
+      build_(std::move(build)),
+      owns_pads_(pads == nullptr),
+      pads_(owns_pads_ ? std::make_shared<GojPadMerge>() : std::move(pads)),
+      residual_(left_keys.empty()
+                    ? pred
+                    : ResidualAfterEquiKeys(pred, left_keys,
+                                            build_.side().keys())),
+      out_scheme_(left_->scheme().Concat(build_.scheme())),
+      left_key_positions_(PositionsIn(left_->scheme(), left_keys)),
+      input_(batch_capacity) {
+  FRO_CHECK_EQ(left_keys.size(), build_.side().keys().size());
+  FRO_CHECK(left_->scheme().ToAttrSet().ContainsAll(subset))
+      << "GOJ subset must be contained in the left scheme";
+  subset_positions_ = PositionsIn(left_->scheme(), subset.ids());
+}
+
+void BatchGojIterator::OpenImpl() {
+  left_->Open();
+  if (residual_ != nullptr) bound_.Bind(residual_, out_scheme_);
+  build_.Open();
+  if (owns_pads_) pads_->Reset(1);
+  matched_.clear();
+  seen_.clear();
+  input_.Clear();
+  input_pos_ = 0;
+  left_active_ = false;
+  streamed_ = false;
+  pad_rows_.clear();
+  pad_pos_ = 0;
+}
+
+std::vector<Value> BatchGojIterator::ProjectSubset(const Tuple& lrow) const {
+  std::vector<Value> key;
+  key.reserve(subset_positions_.size());
+  for (int pos : subset_positions_) {
+    key.push_back(lrow.value(static_cast<size_t>(pos)));
+  }
+  return key;
+}
+
+bool BatchGojIterator::NextBatchImpl(TupleBatch* out) {
+  const JoinBuildSide& build = build_.side();
+  for (;;) {
+    if (streamed_) {
+      // Pad phase (last participant only).
+      while (!out->full() && pad_pos_ < pad_rows_.size()) {
+        out->AppendSlot()->AssignFrom(pad_rows_[pad_pos_++]);
+      }
+      return !out->empty();
+    }
+    if (!left_active_) {
+      if (input_pos_ >= input_.size()) {
+        if (!left_->NextBatch(&input_)) {
+          FinishStream();
+          continue;
+        }
+        input_pos_ = 0;
+        continue;
+      }
+      ++mutable_stats().left_reads;
+      if (!build.keys().empty()) ++mutable_stats().probes;
+      matches_ = build.Candidates(input_.selected(input_pos_),
+                                  left_key_positions_, &probe_key_);
+      left_had_match_ = false;
+      left_active_ = true;
+    }
+    const Tuple& lrow = input_.selected(input_pos_);
+    while (!matches_.done()) {
+      if (out->full()) return true;
+      const Tuple& rrow = build.row(matches_.Next());
+      ++mutable_stats().right_reads;
+      Tuple* slot = out->PeekSlot();
+      slot->AssignConcat(lrow, rrow);
+      ++mutable_stats().predicate_evals;
+      if (residual_ == nullptr || IsTrue(bound_.Eval(*slot))) {
+        left_had_match_ = true;
+        out->CommitSlot();
+      }
+    }
+    std::vector<Value> key = ProjectSubset(lrow);
+    if (left_had_match_) matched_.insert(key);
+    seen_.insert(std::move(key));
+    left_active_ = false;
+    ++input_pos_;
+  }
+}
+
+void BatchGojIterator::FinishStream() {
+  streamed_ = true;
+  std::vector<std::vector<Value>> missing;
+  if (!pads_->Finish(&matched_, &seen_, &missing)) return;
+  // (pi[S](L) - pi[S](JN)) x null. Left columns keep their positions
+  // under Concat, so the left-scheme subset positions index the output
+  // scheme directly.
+  for (const std::vector<Value>& key : missing) {
+    std::vector<Value> values(out_scheme_.size());
+    for (size_t k = 0; k < subset_positions_.size(); ++k) {
+      values[static_cast<size_t>(subset_positions_[k])] = key[k];
+    }
+    pad_rows_.push_back(Tuple(std::move(values)));
+  }
+}
+
 void BatchGojIterator::CloseImpl() {
-  result_ = Relation();
-  pos_ = 0;
+  left_->Close();
+  build_.Close();
+  left_active_ = false;
+  matched_.clear();
+  seen_.clear();
+  pad_rows_.clear();
+  pad_pos_ = 0;
 }
 
 const Scheme& BatchGojIterator::scheme() const { return out_scheme_; }

@@ -1,11 +1,12 @@
 // Batch-native physical operators: scan, filter (in-place selection
 // narrowing), project, union-with-padding, block nested-loop and hash
 // join-likes in all four modes (inner, left outer, anti, semi), and the
-// blocking generalized outerjoin. Join-like operators use one of two
-// physical strategies: block nested loop (right input materialized at
-// Open) or hash (build on the right input, probe from the left). The
-// generalized outerjoin is inherently blocking (it needs the full set of
-// matched S-projections) and is implemented as a materializing operator.
+// streaming generalized outerjoin. Join-like operators use one of two
+// physical strategies: block nested loop (every build row a candidate)
+// or hash (candidates from the build side's key index). All three join
+// operators read the right input through a JoinBuildSide
+// (exec/join_build.h): their own, built at Open(), or one a morsel
+// exchange built once and shares across its workers.
 //
 // Counter parity: every operator maintains ExecStats with the kernel
 // accounting of relational/ops.h — reads per candidate tuple fetched,
@@ -23,12 +24,12 @@
 #define FRO_EXEC_BATCH_OPERATORS_H_
 
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <set>
 #include <vector>
 
 #include "exec/batch_iterator.h"
-#include "relational/index.h"
+#include "exec/join_build.h"
 #include "relational/ops.h"
 #include "relational/predicate.h"
 
@@ -41,17 +42,6 @@ JoinMode JoinModeOf(OpKind kind);
 /// Output scheme of a join-like operator: both operands' columns for
 /// inner and left outer joins, the left operand's for anti/semijoins.
 Scheme JoinOutScheme(const Scheme& left, const Scheme& right, JoinMode mode);
-
-/// The conjuncts of `pred` an equi-key index probe on (left_keys[i],
-/// right_keys[i]) does NOT discharge. A conjunct `l = r` whose column
-/// pair is one of the key pairs is decided exactly by the probe's
-/// normalized-key equality (SQL equality on non-null keys; null keys
-/// never probe), so only the remaining conjuncts need per-candidate
-/// re-evaluation. Returns nullptr when nothing remains. Shared by the
-/// serial and morsel-parallel hash joins so their accounting agrees.
-PredicatePtr ResidualAfterEquiKeys(const PredicatePtr& pred,
-                                   const std::vector<AttrId>& left_keys,
-                                   const std::vector<AttrId>& right_keys);
 
 /// Full scan of a materialized relation (which must outlive the scan).
 class BatchScanIterator : public BatchIterator {
@@ -163,17 +153,23 @@ class BatchUnionIterator : public BatchIterator {
   size_t input_pos_ = 0;
 };
 
-/// Block nested-loop join-like operator: right input materialized at
-/// Open(), left tuples stream a batch at a time.
+/// Block nested-loop join-like operator: the build side is every row of
+/// the right input (materialized at Open(), or shared by an exchange);
+/// left tuples stream a batch at a time.
 class BatchNestedLoopJoinIterator : public BatchIterator {
  public:
+  /// Serial plan: drains `right` at Open().
   BatchNestedLoopJoinIterator(
       BatchIteratorPtr left, BatchIteratorPtr right, PredicatePtr pred,
       JoinMode mode, size_t batch_capacity = TupleBatch::kDefaultCapacity);
+  /// Any build input; an exchange's workers pass its shared side.
+  BatchNestedLoopJoinIterator(BatchIteratorPtr left, JoinBuildInput build,
+                              PredicatePtr pred, JoinMode mode,
+                              size_t batch_capacity);
   const Scheme& scheme() const override;
   const char* physical_name() const override { return "NestedLoopJoin"; }
   std::vector<BatchIterator*> children() const override {
-    return {left_.get(), right_.get()};
+    return build_.Children(left_.get());
   }
 
  protected:
@@ -183,13 +179,12 @@ class BatchNestedLoopJoinIterator : public BatchIterator {
 
  private:
   BatchIteratorPtr left_;
-  BatchIteratorPtr right_;
+  JoinBuildInput build_;
   PredicatePtr pred_;
   BoundPredicate bound_;  // pred_ resolved against joined_scheme_
   JoinMode mode_;
   Scheme out_scheme_;
   Scheme joined_scheme_;
-  std::vector<Tuple> right_rows_;
   TupleBatch input_;  // current left batch
   size_t input_pos_ = 0;
   bool left_active_ = false;
@@ -197,20 +192,27 @@ class BatchNestedLoopJoinIterator : public BatchIterator {
   bool left_had_match_ = false;
 };
 
-/// Hash join-like operator: builds once on the right input at Open(),
-/// probes a batch of left tuples at a time. The plan builder selects it
-/// only when equi-keys exist; the full predicate is re-checked.
+/// Hash join-like operator: probes a batch of left tuples at a time
+/// against a build side keyed on the equi-keys (built at Open() from the
+/// right input, or shared by an exchange). The plan builder selects it
+/// only when equi-keys exist; conjuncts beyond the keys are re-checked.
 class BatchHashJoinIterator : public BatchIterator {
  public:
+  /// Serial plan: drains and indexes `right` at Open().
   BatchHashJoinIterator(BatchIteratorPtr left, BatchIteratorPtr right,
                         PredicatePtr pred, JoinMode mode,
                         std::vector<AttrId> left_keys,
                         std::vector<AttrId> right_keys,
                         size_t batch_capacity = TupleBatch::kDefaultCapacity);
+  /// Any build input keyed on the right keys; an exchange's workers
+  /// pass its shared side.
+  BatchHashJoinIterator(BatchIteratorPtr left, JoinBuildInput build,
+                        PredicatePtr pred, JoinMode mode,
+                        std::vector<AttrId> left_keys, size_t batch_capacity);
   const Scheme& scheme() const override;
   const char* physical_name() const override { return "HashJoin"; }
   std::vector<BatchIterator*> children() const override {
-    return {left_.get(), right_.get()};
+    return build_.Children(left_.get());
   }
 
  protected:
@@ -220,7 +222,7 @@ class BatchHashJoinIterator : public BatchIterator {
 
  private:
   BatchIteratorPtr left_;
-  BatchIteratorPtr right_;
+  JoinBuildInput build_;
   PredicatePtr pred_;
   /// pred_ minus the equi-key conjuncts the probe discharges; nullptr
   /// when the probe decides the whole predicate (pure equi-join).
@@ -229,72 +231,23 @@ class BatchHashJoinIterator : public BatchIterator {
   JoinMode mode_;
   Scheme out_scheme_;
   Scheme joined_scheme_;
-  std::vector<AttrId> left_keys_;
-  std::vector<AttrId> right_keys_;
-  Relation build_side_;
-  /// The rows the probe table indexes: &build_side_ after a copying
-  /// drain, or the scanned base relation itself when the build child
-  /// streamed it as contiguous zero-copy views (a plain Leaf scan) — in
-  /// that case no tuple is copied and no column is re-transposed; the
-  /// shared mirror (owned by the scan child and the Database cache)
-  /// backs columnar emission directly.
-  const Relation* build_rel_ = nullptr;
-  const RelationColumns* shared_build_cols_ = nullptr;
-  /// Key-normalized copy of the build rows the index hashes over; kept
-  /// as a member because HashIndex requires its relation to outlive it.
-  /// Probe results are row indices valid for the build rows too (same
-  /// row order), and output tuples come from the build rows so key
-  /// values keep their original representation.
-  Relation normalized_build_;
-  std::unique_ptr<HashIndex> index_;
-  /// Specialized probe table, engaged when the key is one column and
-  /// every build-side key value is numeric. Keys are normalized the way
-  /// NormalizeHashKeyValue does (int widened to double), stored in a
-  /// flat power-of-two open-addressing array; rows sharing a key are
-  /// chained in build order through fast_next_, so match sets and match
-  /// order are identical to the HashIndex path. Probing it is one
-  /// contiguous-array lookup — no per-row Value materialization, no
-  /// generic key hashing, no node-based map traversal.
-  struct FastBucket {
-    double key;
-    uint32_t head;  // first build row with this key, +1; 0 = empty
-  };
-  std::vector<FastBucket> fast_buckets_;
-  std::vector<uint32_t> fast_next_;  // row -> next row with same key, +1
-  /// Bloom prefilter over the build keys (one bit per key from the top
-  /// hash bits, sized at 16 bits per bucket so it stays cache-resident
-  /// at ~6% of the bucket array): probes whose bit is clear skip the
-  /// bucket search entirely — on selective joins most probes miss, and
-  /// the miss answer comes from this small array instead of a random
-  /// access into the large one.
-  std::vector<uint8_t> fast_bloom_;
-  uint64_t fast_bloom_mask_ = 0;
-  size_t fast_mask_ = 0;
-  /// Home bucket = hash >> fast_shift_ (the hash's TOP log2(cap) bits).
-  /// The low bits are measurably non-uniform for small-integer doubles
-  /// (their bit patterns share long runs of trailing zeros, and the
-  /// multiply in HashNumericKey only propagates entropy upward), which
-  /// produced linear-probe clusters dozens of buckets long; the top bits
-  /// are well mixed and keep clusters near the theoretical minimum.
-  size_t fast_shift_ = 64;
-  uint32_t fast_match_ = 0;  // probe chain cursor (row + 1; 0 = done)
-  bool use_fast_index_ = false;
   std::vector<int> left_key_positions_;
   std::vector<Value> probe_key_;
+  /// Candidate cursor of the probe row in progress (row-at-a-time path).
+  BuildMatches matches_;
   /// Batched probe-key hashing (HashColumns) over the current input
-  /// batch's key column, engaged when the fast index is live and the key
-  /// column is dense numeric: probe_has_[raw] = 0 marks rows that never
-  /// match (null key), otherwise probe_keys_/probe_hashes_ hold the
-  /// normalized key and its hash for raw row `raw`.
+  /// batch's key column, engaged when the build side's flat table is
+  /// live and the key column is dense numeric: probe_has_[raw] = 0 marks
+  /// rows that never match (null key), otherwise probe_keys_/
+  /// probe_hashes_ hold the normalized key and its hash for raw row
+  /// `raw`.
   bool probe_dense_ = false;
   std::vector<double> probe_keys_;
   std::vector<uint64_t> probe_hashes_;
   std::vector<uint8_t> probe_has_;
   /// Per-batch probe resolution (dense path): match_head_[raw] is the
   /// 1-based chain head for raw row `raw` (0 = no match), filled at
-  /// batch refresh by a two-pass probe sweep — a branch-free home-bucket
-  /// pass over the whole batch, then a walk for the few rows flagged in
-  /// probe_needs_ whose home bucket held a different key.
+  /// batch refresh by JoinBuildSide::ResolveHeads.
   std::vector<uint32_t> match_head_;
   std::vector<uint8_t> probe_needs_;
   /// Columnar emission, engaged when the probe discharges the whole
@@ -302,7 +255,6 @@ class BatchHashJoinIterator : public BatchIterator {
   /// owned-column mode from the probe side's columns and the build
   /// side's columnized mirror — no per-match Tuple assembly.
   bool columnar_emit_ = false;
-  std::unique_ptr<RelationColumns> build_cols_;
   std::vector<const ColumnVector*> right_cols_;
   std::vector<const ColumnVector*> left_cols_;
   size_t left_off_ = 0;
@@ -320,23 +272,59 @@ class BatchHashJoinIterator : public BatchIterator {
   TupleBatch input_;  // current left batch
   size_t input_pos_ = 0;
   bool left_active_ = false;
-  const std::vector<size_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
   bool left_had_match_ = false;
-  const std::vector<size_t> no_matches_;
 };
 
-/// GOJ[subset, pred](left, right): blocking; materializes both inputs at
-/// Open() and streams the kernel's result in batches.
+/// The eq. 14 padding state of one GOJ plan node, shared by everything
+/// that streams it: pi[S] of the join and of the preserved input,
+/// unioned as each participant finishes — one participant for a serial
+/// plan, one per worker behind an exchange. The last participant to
+/// finish emits the pads.
+class GojPadMerge {
+ public:
+  using Projections = std::set<std::vector<Value>>;
+
+  /// Arms the merge for `participants` streams; call while none runs.
+  void Reset(int participants);
+
+  /// Folds one participant's projection sets in (consuming them).
+  /// Returns true for the last participant and hands it
+  /// pi[S](L) - pi[S](JN) in `missing`, in set order.
+  bool Finish(Projections* matched, Projections* seen,
+              std::vector<std::vector<Value>>* missing);
+
+ private:
+  std::mutex mu_;
+  Projections matched_;
+  Projections seen_;
+  int running_ = 0;
+};
+
+/// GOJ[subset, pred](left, right), paper eq. 14, streaming: joined
+/// tuples stream out as the left input produces them, then the pads
+/// (pi[S](L) - pi[S](JN)) x null, one per missing DISTINCT projection.
+/// A serial plan is the pad merge's only participant, so its output
+/// order equals the GeneralizedOuterJoin kernel's: joined rows first,
+/// then pads in set order. Behind an exchange every worker streams its
+/// morsels and the last one to finish pads.
+///
+/// Accounting mirrors the kernel's: one left_read per preserved row,
+/// one probe per row when keyed, one right_read + one predicate_eval per
+/// candidate, pads counted as ordinary emissions.
 class BatchGojIterator : public BatchIterator {
  public:
-  BatchGojIterator(BatchIteratorPtr left, BatchIteratorPtr right,
-                   PredicatePtr pred, AttrSet subset,
-                   JoinAlgo algo = JoinAlgo::kAuto);
+  /// `left_keys` pair with the build side's keys (none: nested loop).
+  /// A serial plan passes its right child and no `pads`, making the
+  /// operator its pad merge's only participant; an exchange's workers
+  /// pass its shared side and merge.
+  BatchGojIterator(BatchIteratorPtr left, JoinBuildInput build,
+                   std::shared_ptr<GojPadMerge> pads, PredicatePtr pred,
+                   AttrSet subset, std::vector<AttrId> left_keys,
+                   size_t batch_capacity);
   const Scheme& scheme() const override;
   const char* physical_name() const override { return "Goj"; }
   std::vector<BatchIterator*> children() const override {
-    return {left_.get(), right_.get()};
+    return build_.Children(left_.get());
   }
 
  protected:
@@ -345,14 +333,32 @@ class BatchGojIterator : public BatchIterator {
   void CloseImpl() override;
 
  private:
+  std::vector<Value> ProjectSubset(const Tuple& lrow) const;
+  /// Merges this participant's projections; the last one stages pads.
+  void FinishStream();
+
   BatchIteratorPtr left_;
-  BatchIteratorPtr right_;
-  PredicatePtr pred_;
-  AttrSet subset_;
-  JoinAlgo algo_;
+  JoinBuildInput build_;
+  bool owns_pads_;
+  std::shared_ptr<GojPadMerge> pads_;
+  /// Residual beyond the equi-keys when keyed, else the whole predicate.
+  PredicatePtr residual_;
+  BoundPredicate bound_;  // residual_ resolved against out_scheme_
   Scheme out_scheme_;
-  Relation result_;
-  size_t pos_ = 0;
+  std::vector<int> subset_positions_;
+  std::vector<int> left_key_positions_;
+  std::vector<Value> probe_key_;
+  BuildMatches matches_;
+  TupleBatch input_;  // current left batch
+  size_t input_pos_ = 0;
+  bool left_active_ = false;
+  bool left_had_match_ = false;
+  /// pi[S] of this participant's joined rows and of its left rows.
+  GojPadMerge::Projections matched_;
+  GojPadMerge::Projections seen_;
+  bool streamed_ = false;  // left input exhausted, projections merged
+  std::vector<Tuple> pad_rows_;  // staged by the last participant
+  size_t pad_pos_ = 0;
 };
 
 }  // namespace fro

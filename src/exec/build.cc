@@ -35,11 +35,17 @@ BatchIteratorPtr Build(const ExprPtr& expr, const Database& db,
           Build(expr->left(), db, options), Build(expr->right(), db, options),
           capacity);
       break;
-    case OpKind::kGoj:
+    case OpKind::kGoj: {
+      BatchIteratorPtr left = Build(expr->left(), db, options);
+      BatchIteratorPtr right = Build(expr->right(), db, options);
+      EquiKeys keys = JoinKeys(expr->pred(), left->scheme(), right->scheme(),
+                               options.algo);
       it = std::make_unique<BatchGojIterator>(
-          Build(expr->left(), db, options), Build(expr->right(), db, options),
-          expr->pred(), expr->goj_subset(), options.algo);
+          std::move(left), JoinBuildInput(std::move(right), keys.right),
+          /*pads=*/nullptr, expr->pred(), expr->goj_subset(), keys.left,
+          capacity);
       break;
+    }
     case OpKind::kMultiwayJoin: {
       // Leapfrog runs serially over its trie indexes (no spine to
       // partition), and so do the operand subplans it drains.
@@ -62,12 +68,9 @@ BatchIteratorPtr Build(const ExprPtr& expr, const Database& db,
       BatchIteratorPtr left = Build(anchor, db, options);
       BatchIteratorPtr right = Build(other, db, options);
       JoinMode mode = JoinModeOf(expr->kind());
-      EquiKeys keys =
-          ExtractEquiKeys(expr->pred(), left->scheme(), right->scheme());
-      const bool use_hash =
-          keys.Usable() &&
-          (options.algo == JoinAlgo::kHash || options.algo == JoinAlgo::kAuto);
-      if (use_hash) {
+      EquiKeys keys = JoinKeys(expr->pred(), left->scheme(), right->scheme(),
+                               options.algo);
+      if (keys.Usable()) {
         it = std::make_unique<BatchHashJoinIterator>(
             std::move(left), std::move(right), expr->pred(), mode,
             std::move(keys.left), std::move(keys.right), capacity);
@@ -83,6 +86,12 @@ BatchIteratorPtr Build(const ExprPtr& expr, const Database& db,
 }
 
 }  // namespace
+
+EquiKeys JoinKeys(const PredicatePtr& pred, const Scheme& left,
+                  const Scheme& right, JoinAlgo algo) {
+  if (algo == JoinAlgo::kNestedLoop) return EquiKeys();
+  return ExtractEquiKeys(pred, left, right);
+}
 
 BatchIteratorPtr BuildParallelBatchIterator(const ExprPtr& expr,
                                             const Database& db,

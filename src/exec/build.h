@@ -21,7 +21,8 @@ namespace fro {
 /// Knobs for the plan builder. The defaults build the serial plan; with
 /// `threads > 1` they parallelize a 200k-row scan into ~200 morsels.
 /// Tests and the fuzzer shrink `morsel_rows`/`batch_capacity` to force
-/// cross-morsel and cross-partition paths on tiny relations.
+/// cross-morsel and cross-worker paths (split batches, the GOJ pad
+/// merge) on tiny relations.
 struct ParallelOptions {
   /// Worker pipelines per exchange; <= 1 builds the serial plan.
   int threads = 1;
@@ -32,10 +33,14 @@ struct ParallelOptions {
   size_t batch_capacity = TupleBatch::kDefaultCapacity;
   /// Join strategy constraint.
   JoinAlgo algo = JoinAlgo::kAuto;
-  /// Exchange buffering: at most `queue_batches * threads` batches parked
-  /// between producers and the consumer before producers block.
-  size_t queue_batches = 4;
 };
+
+/// The equi-keys a join-like operator over `left` and `right` probes on:
+/// the predicate's column equalities across the two schemes, or none when
+/// `algo` forces nested loops. With keys the hash join (or keyed GOJ) is
+/// built, without them the nested-loop one.
+EquiKeys JoinKeys(const PredicatePtr& pred, const Scheme& left,
+                  const Scheme& right, JoinAlgo algo);
 
 /// Builds a pipelined physical plan for `expr`. Parallelizable regions
 /// compile to exchanges over `options.threads` morsel-driven workers;

@@ -8,27 +8,32 @@
 // BatchExchangeIterator gathers the workers' batches through a bounded
 // queue into one merged stream that serial consumers (union,
 // duplicate-eliminating projection, the rest of the plan) drain like any
-// other batch operator. Build sides of spine joins are evaluated once,
-// partitioned by normalized key hash, and indexed in parallel; probes
-// hit exactly the partition their key hashes to, so candidate sets and
-// match order equal the serial engine's.
+// other batch operator.
+//
+// Workers run the serial operators (exec/batch_operators.h); there is no
+// second operator set. What parallelism shares is the build side: the
+// exchange drains each spine join's build subtree once, serially, into a
+// JoinBuildSide (exec/join_build.h), and every worker's hash, nested-loop
+// or GOJ operator probes that one table read-only. The table holds the
+// rows in the serial plan's build order, so every probe row meets the
+// same candidates in the same order as in the serial plan.
 //
 // The paper-specific twist is outerjoin padding. Left-outer/anti padding
-// is per probe row, hence naturally partition-local and exactly-once.
-// GOJ padding (eq. 14) is not: it pads per *distinct* S-projection of
-// the preserved operand absent from pi[S] of the join, a property no
-// single worker can decide. Workers therefore keep local
-// matched/seen-projection sets and merge them into the shared input
-// under a mutex as they finish; the last worker to arrive emits the
-// set-difference pads exactly once, preserving bag semantics.
+// is per probe row, hence worker-local and exactly-once. GOJ padding
+// (eq. 14) is not: it pads per *distinct* S-projection of the preserved
+// operand absent from pi[S] of the join, a property no single worker can
+// decide. Each worker's GOJ folds its projection sets into the
+// exchange's GojPadMerge as it finishes, and the last one to finish emits
+// the set-difference pads exactly once — the serial GOJ's own code path,
+// with N participants instead of one.
 //
-// Counter parity: every parallel operator replicates its serial
-// counterpart's ExecStats accounting tuple for tuple, and each probe row
-// is processed by exactly one worker, so summing a counter across
-// workers (CollectWorkerStats / SnapshotMerged) reproduces the serial
-// totals — EXPLAIN ANALYZE and fro_fuzz's stats-parity checks hold
-// unchanged. The plan builder (exec/build.h) places exchanges only when
-// asked for more than one thread; otherwise the plan is serial.
+// Counter parity: each probe row is processed by exactly one worker, by
+// the serial operator's code against the serial candidate order, so
+// summing a counter across workers (CollectWorkerStats / SnapshotMerged)
+// reproduces the serial totals — EXPLAIN ANALYZE and fro_fuzz's
+// stats-parity checks hold unchanged. The plan builder (exec/build.h)
+// places exchanges only when asked for more than one thread; otherwise
+// the plan is serial.
 
 #ifndef FRO_EXEC_MORSEL_H_
 #define FRO_EXEC_MORSEL_H_
@@ -105,16 +110,15 @@ struct ExchangeState;  // morsel.cc: spine steps, shared join inputs, workers
 
 /// Gathers N worker pipelines into one merged batch stream.
 ///
-/// Open() prepares the shared join inputs (drains each build side once,
-/// partitions and indexes it in parallel), resets the morsel queue and
-/// the GOJ padding state, and spawns one thread per worker; NextBatch()
-/// hands out rows from a bounded producer/consumer queue; Close() wakes
-/// and joins the workers. The workers and shared build subtrees are
-/// internal — children() stays empty — so generic tree walks see a leaf;
-/// stats rollups instead splice in SnapshotMerged(), a node-wise
-/// cross-worker merge of the spine with each build subtree's snapshot
-/// attached as its join's second child. The exchange node itself is
-/// stats-passthrough.
+/// Open() prepares the shared join inputs (drains and indexes each build
+/// side once), resets the morsel queue and the GOJ pad merges, and
+/// spawns one thread per worker; NextBatch() hands out rows from a
+/// bounded producer/consumer queue; Close() wakes and joins the workers.
+/// The workers and shared build subtrees are internal — children() stays
+/// empty — so generic tree walks see a leaf; stats rollups instead splice
+/// in SnapshotMerged(), a node-wise cross-worker merge of the spine with
+/// each build subtree's snapshot attached as its join's second child. The
+/// exchange node itself is stats-passthrough.
 class BatchExchangeIterator : public BatchIterator {
  public:
   BatchExchangeIterator(std::unique_ptr<ExchangeState> state,
@@ -168,8 +172,9 @@ bool MorselParallelizable(const ExprPtr& expr);
 
 /// Plans the spine of a MorselParallelizable expression and assembles
 /// its exchange over `options.threads` worker pipelines. The build sides
-/// of spine joins are compiled by the plan builder with the same
-/// options. Called by the plan builder; use BuildParallelBatchIterator.
+/// of spine joins are compiled by the plan builder as serial plans with
+/// the same join algorithm and batch capacity. Called by the plan
+/// builder; use BuildParallelBatchIterator.
 BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
                               const ParallelOptions& options);
 

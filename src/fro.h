@@ -27,7 +27,6 @@
 // Substrate: values, relations, predicates, kernels, persistence.
 #include "relational/database.h"
 #include "relational/ops.h"
-#include "relational/sort_merge.h"
 #include "relational/text_io.h"
 
 // Algebra: expression trees, evaluation, parsing, transforms, rewrites.

@@ -38,6 +38,19 @@ std::string Excerpt(const Relation& rel, const Catalog* catalog) {
   return s;
 }
 
+/// The runs CheckParallelPlan makes of a plan, named by check suffix.
+struct ParallelLeg {
+  int workers;
+  JoinAlgo algo;
+  const char* suffix;
+};
+constexpr ParallelLeg kParallelLegs[] = {
+    {1, JoinAlgo::kAuto, "-w1"},
+    {2, JoinAlgo::kAuto, "-w2"},
+    {4, JoinAlgo::kAuto, "-w4"},
+    {2, JoinAlgo::kNestedLoop, "-nl-w2"},
+};
+
 class Differ {
  public:
   Differ(const FuzzCase& fuzz_case, const DiffOptions& options,
@@ -129,29 +142,29 @@ class Differ {
 
   // Morsel-driven parallel pipelines (exec/morsel.h) must agree with the
   // oracle AND report exactly the serial batch engine's counters at every
-  // worker count. Tiny morsels and batches force real work splitting (and
-  // the GOJ cross-partition padding merge) even on the small relations
-  // fuzz cases generate.
+  // worker count, with the default join choice and (at 2 workers, checks
+  // named *-nl-w2) with nested loops forced. Tiny morsels and batches
+  // force real work splitting (and the GOJ pad merge across workers) even
+  // on the small relations fuzz cases generate.
   void CheckParallelPlan(const std::string& result_prefix,
                          const std::string& stats_prefix,
                          const ExprPtr& plan) {
-    for (const int workers : {1, 2, 4}) {
-      const std::string result_check =
-          result_prefix + "-w" + std::to_string(workers);
-      const std::string stats_check =
-          stats_prefix + "-w" + std::to_string(workers);
+    for (const ParallelLeg& leg : kParallelLegs) {
+      const std::string result_check = result_prefix + leg.suffix;
+      const std::string stats_check = stats_prefix + leg.suffix;
       const bool want_result = WantCheck(result_check);
       const bool want_stats = WantCheck(stats_check);
       if (!want_result && !want_stats) continue;
       ParallelOptions par;
-      par.threads = workers;
+      par.threads = leg.workers;
       par.morsel_rows = 2;
       par.batch_capacity = 4;
+      par.algo = leg.algo;
       BatchIteratorPtr root = BuildParallelBatchIterator(plan, *c_.db, par);
       Relation out = DrainBatches(root.get());
       if (want_result) ExpectOracle(result_check, out);
       if (want_stats) {
-        BatchIteratorPtr serial = BuildBatchIterator(plan, *c_.db);
+        BatchIteratorPtr serial = BuildBatchIterator(plan, *c_.db, leg.algo);
         DrainBatches(serial.get());
         ExpectCounters(stats_check, "serial",
                        CollectPipelineStats(serial.get()), "parallel",
@@ -276,12 +289,11 @@ class Differ {
   void CheckFeedback() {
     if (!options_.feedback) return;
     bool want_parallel = false;
-    for (const int workers : {1, 2, 4}) {
-      want_parallel =
-          want_parallel ||
-          WantCheck("feedback-parallel-w" + std::to_string(workers)) ||
-          WantCheck("feedback-parallel-stats-parity-w" +
-                    std::to_string(workers));
+    for (const ParallelLeg& leg : kParallelLegs) {
+      want_parallel = want_parallel ||
+                      WantCheck(std::string("feedback-parallel") + leg.suffix) ||
+                      WantCheck(std::string("feedback-parallel-stats-parity") +
+                                leg.suffix);
     }
     const bool want_replan = WantCheck("feedback-replan");
     const bool want_replay = WantCheck("feedback-replay");

@@ -6,7 +6,8 @@
 //   eval-nl / eval-hash    the materializing evaluator, both kernels
 //   batch-engine[-capN]    the batch pipeline at several capacities
 //   parallel-engine-wN     the morsel-driven parallel pipeline at N
-//                          workers (tiny morsels force real splitting)
+//                          workers (tiny morsels force real splitting);
+//                          parallel-engine-nl-w2 with nested loops forced
 //   wcoj-*                 forced multiway plans (every pure-join region
 //                          collapsed to a leapfrog join) through the
 //                          evaluator, the batch pipeline, and the
@@ -44,6 +45,7 @@
 //                          product and counts differently)
 //   *parallel-stats-parity-wN  the N-worker parallel pipeline must report
 //                          exactly the serial batch pipeline's totals
+//                          (*-nl-w2: both with nested loops forced)
 //
 // Metamorphic checks (transform the *query*, re-run the oracle, compare
 // with the oracle on the original):

@@ -3,12 +3,11 @@
 // Example 1 of the paper argues in "tuples retrieved": the naive order of
 // `R1 - (R2 -> R3)` touches 2*10^7 + 1 tuples while the reordered
 // `(R1 - R2) -> R3` touches 3. One counter struct serves every layer with
-// exactly that accounting: the kernels in relational/ops.h and
-// relational/sort_merge.h fill it per invocation, the materializing
-// evaluator (algebra/eval.h) sums it across a tree, and the batch
-// executor (exec/batch_iterator.h) keeps one per operator. Tests assert
-// that executor and evaluator produce identical counters operator by
-// operator.
+// exactly that accounting: the kernels in relational/ops.h fill it per
+// invocation, the materializing evaluator (algebra/eval.h) sums it across
+// a tree, and the batch executor (exec/batch_iterator.h) keeps one per
+// operator. Tests assert that executor and evaluator produce identical
+// counters operator by operator.
 
 #ifndef FRO_RELATIONAL_EXEC_STATS_H_
 #define FRO_RELATIONAL_EXEC_STATS_H_

@@ -2,13 +2,16 @@
 // pipeline must be result-transparent against the serial batch engine —
 // identical result bags AND identical ExecStats counter totals — for
 // every operator kind, at every worker count, down to one-row morsels.
-// With threads <= 1 it must be *byte-identical* (same plan, same row
-// order). Also covers the MorselQueue work-claiming contract, the GOJ
-// cross-partition padding merge (each eq. 14 pad emitted exactly once,
-// no matter how unmatched left rows scatter across morsels),
-// cancellation/deadline propagation into worker pipelines, empty
-// drivers, and EXPLAIN ANALYZE's Exchange rendering with serial-equal
-// totals.
+// Workers run the serial join operators over one shared build side, so
+// the shapes cover every build-side path the serial hash join has: the
+// flat numeric table, the generic index (string and two-column keys),
+// mixed int/double keys, residual conjuncts, and copying drains. With
+// threads <= 1 it must be *byte-identical* (same plan, same row order).
+// Also covers the MorselQueue work-claiming contract, the GOJ pad merge
+// (each eq. 14 pad emitted exactly once, no matter how unmatched left
+// rows scatter across workers), cancellation/deadline propagation into
+// worker pipelines, empty drivers, and EXPLAIN ANALYZE's Exchange
+// rendering with serial-equal totals.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "algebra/eval.h"
 #include "exec/batch_operators.h"
 #include "exec/build.h"
 #include "exec/morsel.h"
@@ -116,28 +120,51 @@ TEST(MorselQueueTest, ConcurrentClaimsPartitionTheRange) {
 class ParallelEquivTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    r_ = *db_.AddRelation("R", {"a", "b"});
+    r_ = *db_.AddRelation("R", {"a", "b", "e"});
     s_ = *db_.AddRelation("S", {"c", "d"});
+    t_ = *db_.AddRelation("T", {"g", "h"});
+    m_ = *db_.AddRelation("M", {"k"});
     a_ = db_.Attr("R", "a");
     b_ = db_.Attr("R", "b");
+    e_ = db_.Attr("R", "e");
     c_ = db_.Attr("S", "c");
     d_ = db_.Attr("S", "d");
+    g_ = db_.Attr("T", "g");
+    h_ = db_.Attr("T", "h");
+    k_ = db_.Attr("M", "k");
     // Enough driver rows that 1-row morsels make every worker claim
     // several; duplicate and null keys on both sides.
     for (int i = 0; i < 37; ++i) {
       const int key = i % 7;
       db_.AddRow(r_, {key == 5 ? Value::Null() : Value::Int(key),
-                      Value::Int(i)});
+                      Value::Int(i),
+                      key == 4 ? Value::Null()
+                               : Value::String("s" + std::to_string(key))});
     }
     for (int i = 0; i < 11; ++i) {
       const int key = i % 5;
       db_.AddRow(s_, {key == 3 ? Value::Null() : Value::Int(key),
                       Value::Int(100 + i)});
     }
+    // String keys (the generic index) with duplicates and a null, and an
+    // int column for two-column keys.
+    for (int i = 0; i < 9; ++i) {
+      const int key = i % 4;
+      db_.AddRow(t_, {key == 2 ? Value::Null()
+                               : Value::String("s" + std::to_string(key)),
+                      Value::Int(i % 3)});
+    }
+    // Mixed int/double keys: 1 and 1.0 must both match R.a = 1.
+    for (const Value& v : {Value::Int(1), Value::Double(1.0), Value::Double(2.0),
+                           Value::Int(4), Value::Double(6.5), Value::Null()}) {
+      db_.AddRow(m_, {v});
+    }
   }
 
   ExprPtr LeafR() const { return Expr::Leaf(r_, db_); }
   ExprPtr LeafS() const { return Expr::Leaf(s_, db_); }
+  ExprPtr LeafT() const { return Expr::Leaf(t_, db_); }
+  ExprPtr LeafM() const { return Expr::Leaf(m_, db_); }
 
   std::vector<ExprPtr> SpineShapes() const {
     return {
@@ -153,6 +180,40 @@ class ParallelEquivTest : public ::testing::Test {
         Expr::Antijoin(LeafR(), LeafS(), EqCols(a_, c_), /*keeps_left=*/true),
         Expr::Semijoin(LeafR(), LeafS(), EqCols(a_, c_), /*keeps_left=*/true),
         Expr::Goj(LeafR(), LeafS(), EqCols(a_, c_), AttrSet::Of({a_, b_})),
+        // String key: the build side's generic HashIndex.
+        Expr::Join(LeafR(), LeafT(), EqCols(e_, g_)),
+        Expr::OuterJoin(LeafR(), LeafT(), EqCols(e_, g_),
+                        /*preserves_left=*/true),
+        Expr::Goj(LeafR(), LeafT(), EqCols(e_, g_), AttrSet::Of({e_})),
+        // Two-column key.
+        Expr::Join(LeafR(), LeafT(),
+                   AndOf(EqCols(e_, g_), EqCols(a_, h_))),
+        Expr::Antijoin(LeafR(), LeafT(),
+                       AndOf(EqCols(e_, g_), EqCols(a_, h_)),
+                       /*keeps_left=*/true),
+        // Mixed 1 / 1.0 build keys.
+        Expr::Join(LeafR(), LeafM(), EqCols(a_, k_)),
+        Expr::Semijoin(LeafR(), LeafM(), EqCols(a_, k_), /*keeps_left=*/true),
+        // Equi-join with a residual conjunct: row emission, and semi/anti
+        // counters that depend on the build side's match order.
+        Expr::Join(LeafR(), LeafS(),
+                   AndOf(EqCols(a_, c_), CmpLit(CmpOp::kGe, d_, Value::Int(105)))),
+        Expr::Semijoin(LeafR(), LeafS(),
+                       AndOf(EqCols(a_, c_),
+                             CmpLit(CmpOp::kGe, d_, Value::Int(105))),
+                       /*keeps_left=*/true),
+        Expr::Antijoin(LeafR(), LeafS(),
+                       AndOf(EqCols(a_, c_),
+                             CmpLit(CmpOp::kGe, d_, Value::Int(105))),
+                       /*keeps_left=*/true),
+        Expr::Goj(LeafR(), LeafS(),
+                  AndOf(EqCols(a_, c_), CmpLit(CmpOp::kGe, d_, Value::Int(105))),
+                  AttrSet::Of({a_})),
+        // A filtered build side: the copying drain, not the zero-copy one.
+        Expr::OuterJoin(
+            LeafR(),
+            Expr::Restrict(LeafS(), CmpLit(CmpOp::kGe, d_, Value::Int(103))),
+            EqCols(a_, c_), /*preserves_left=*/true),
         // Multi-operator spine: filter, hash join, then project.
         Expr::Project(
             Expr::Restrict(Expr::Join(LeafR(), LeafS(), EqCols(a_, c_)),
@@ -167,23 +228,19 @@ class ParallelEquivTest : public ::testing::Test {
   }
 
   Database db_;
-  RelId r_, s_;
-  AttrId a_, b_, c_, d_;
+  RelId r_, s_, t_, m_;
+  AttrId a_, b_, e_, c_, d_, g_, h_, k_;
 };
 
 TEST_F(ParallelEquivTest, EveryShapeAgreesAtEveryWorkerCount) {
-  for (const ExprPtr& expr : SpineShapes()) {
-    for (int threads : {2, 4, 8}) {
-      for (size_t morsel_rows : {size_t{1}, size_t{5}}) {
-        ExpectParallelMatchesSerial(expr, db_, threads, morsel_rows);
+  for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
+    for (const ExprPtr& expr : SpineShapes()) {
+      for (int threads : {2, 4, 8}) {
+        for (size_t morsel_rows : {size_t{1}, size_t{5}}) {
+          ExpectParallelMatchesSerial(expr, db_, threads, morsel_rows, algo);
+        }
       }
     }
-  }
-}
-
-TEST_F(ParallelEquivTest, NestedLoopAlgoAgrees) {
-  for (const ExprPtr& expr : SpineShapes()) {
-    ExpectParallelMatchesSerial(expr, db_, 4, 3, JoinAlgo::kNestedLoop);
   }
 }
 
@@ -218,29 +275,44 @@ TEST_F(ParallelEquivTest, EmptyDriverRelation) {
   }
 }
 
-// The novel piece: eq. 14's padding term π[S](L) − π[S](JN) is computed
+// The novel piece: eq. 14's padding term π[S](L) − π[S](JN) is merged
 // from per-worker partial views and must come out exactly once however
-// the unmatched left rows scatter across morsels.
-TEST_F(ParallelEquivTest, GojPadsEmittedExactlyOnceAcrossPartitions) {
-  // Distinct-projection padding: S = {a} only, so duplicate unmatched
-  // a-values collapse to ONE pad row even when different workers saw
-  // them.
-  ExprPtr goj = Expr::Goj(LeafR(), LeafS(), EqCols(a_, c_),
-                          AttrSet::Of({a_}));
-  for (int threads : {2, 3, 8}) {
-    ExpectParallelMatchesSerial(goj, db_, threads, 1);
+// the unmatched left rows scatter across workers. Serial and parallel
+// plans share one GOJ operator, so both are held to the kernel (Eval).
+TEST_F(ParallelEquivTest, GojPadsEmittedExactlyOnceAcrossWorkers) {
+  RelId empty = *db_.AddRelation("E", {"x"});
+  AttrId x = db_.Attr("E", "x");
+  const std::vector<ExprPtr> gojs = {
+      // Distinct-projection padding: S = {a} only, so duplicate unmatched
+      // a-values (nulls among them) collapse to ONE pad row even when
+      // different workers saw them.
+      Expr::Goj(LeafR(), LeafS(), EqCols(a_, c_), AttrSet::Of({a_})),
+      // Null subset values in a string column, through the generic index.
+      Expr::Goj(LeafR(), LeafT(), EqCols(e_, g_), AttrSet::Of({e_, a_})),
+      // Empty build side: every distinct projection pads.
+      Expr::Goj(LeafR(), Expr::Leaf(empty, db_), EqCols(a_, x),
+                AttrSet::Of({a_})),
+  };
+  for (const ExprPtr& goj : gojs) {
+    const Relation reference = Eval(goj, db_);
+    for (JoinAlgo algo : {JoinAlgo::kAuto, JoinAlgo::kNestedLoop}) {
+      BatchIteratorPtr serial = BuildBatchIterator(goj, db_, algo);
+      // One participant: the kernel's rows in the kernel's order, joined
+      // rows first, then the pads.
+      const Relation serial_out = DrainBatches(serial.get());
+      EXPECT_TRUE(serial_out.rows() == reference.rows()) << goj->ToString();
+      for (int threads : {2, 3, 8}) {
+        ExpectParallelMatchesSerial(goj, db_, threads, 1, algo);
+        ParallelOptions par;
+        par.threads = threads;
+        par.morsel_rows = 1;
+        par.algo = algo;
+        BatchIteratorPtr root = BuildParallelBatchIterator(goj, db_, par);
+        EXPECT_TRUE(BagEquals(DrainBatches(root.get()), reference))
+            << goj->ToString() << " w=" << threads;
+      }
+    }
   }
-
-  // Direct count check: every unmatched DISTINCT π[S] value pads once.
-  ParallelOptions par;
-  par.threads = 4;
-  par.morsel_rows = 1;
-  BatchIteratorPtr root = BuildParallelBatchIterator(goj, db_, par);
-  Relation out = DrainBatches(root.get());
-  BatchIteratorPtr serial = BuildBatchIterator(goj, db_);
-  Relation serial_out = DrainBatches(serial.get());
-  EXPECT_EQ(out.NumRows(), serial_out.NumRows());
-  EXPECT_TRUE(BagEquals(out, serial_out));
 }
 
 // --- control propagation ----------------------------------------------------
