@@ -85,8 +85,11 @@ bool SameNode(const Expr& a, const Expr& b) {
 
 // The arena is sharded so parallel enumeration (closure workers) can
 // intern concurrently without a global bottleneck. Entries are weak: the
-// arena never keeps a tree alive, and expired slots are swept lazily when
-// a shard grows past its high-water mark.
+// arena never keeps a tree alive. Expired entries are swept two ways:
+// Seal drops every one it meets in the hash's range (so rebuilding a
+// shape whose nodes died never piles up twins under one hash), and a
+// whole-shard sweep runs when a shard grows past its high-water mark
+// (for hashes that are never probed again).
 struct InternShard {
   std::mutex mu;
   std::unordered_multimap<uint64_t, std::weak_ptr<const Expr>> nodes;
@@ -113,6 +116,7 @@ ExprInternStats GetExprInternStats() {
   stats.misses = g_intern_misses.load(std::memory_order_relaxed);
   for (InternShard& shard : InternShards()) {
     std::lock_guard<std::mutex> lock(shard.mu);
+    stats.slots += shard.nodes.size();
     for (const auto& [hash, weak] : shard.nodes) {
       if (!weak.expired()) ++stats.live;
     }
@@ -124,16 +128,31 @@ ExprPtr Expr::Seal(std::shared_ptr<Expr> node) {
   node->hash_ = ComputeNodeHash(*node);
   InternShard& shard = InternShards()[node->hash_ % kInternShards];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [lo, hi] = shard.nodes.equal_range(node->hash_);
-  for (auto it = lo; it != hi; ++it) {
-    if (ExprPtr existing = it->second.lock()) {
-      if (SameNode(*existing, *node)) {
-        g_intern_hits.fetch_add(1, std::memory_order_relaxed);
-        return existing;
+  auto [it, hi] = shard.nodes.equal_range(node->hash_);
+  // The first expired entry in the range is reused for the new node; any
+  // later ones are erased. Erasing leaves `hi` valid.
+  auto reuse = shard.nodes.end();
+  while (it != hi) {
+    ExprPtr existing = it->second.lock();
+    if (existing == nullptr) {
+      if (reuse == shard.nodes.end()) {
+        reuse = it++;
+      } else {
+        it = shard.nodes.erase(it);
       }
+      continue;
     }
+    if (SameNode(*existing, *node)) {
+      g_intern_hits.fetch_add(1, std::memory_order_relaxed);
+      return existing;
+    }
+    ++it;
   }
   g_intern_misses.fetch_add(1, std::memory_order_relaxed);
+  if (reuse != shard.nodes.end()) {
+    reuse->second = node;
+    return node;
+  }
   if (shard.nodes.size() >= shard.prune_at) {
     for (auto it = shard.nodes.begin(); it != shard.nodes.end();) {
       it = it->second.expired() ? shard.nodes.erase(it) : std::next(it);

@@ -173,11 +173,13 @@ class Expr {
 /// Counters of the hash-consing arena the Expr factories intern through.
 /// `hits` counts constructions that returned an existing structurally
 /// equal node; `live` is the number of interned nodes still referenced
-/// somewhere (expired entries are pruned lazily).
+/// somewhere; `slots` counts every arena entry, live or expired (expired
+/// entries are swept lazily, so slots >= live).
 struct ExprInternStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   size_t live = 0;
+  size_t slots = 0;
 };
 ExprInternStats GetExprInternStats();
 

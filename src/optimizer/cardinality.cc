@@ -1,7 +1,6 @@
 #include "optimizer/cardinality.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 
@@ -11,76 +10,25 @@ namespace {
 
 double Clamp01(double x) { return std::min(1.0, std::max(0.0, x)); }
 
-constexpr double kDefaultRangeSelectivity = 1.0 / 3.0;
-
 }  // namespace
 
-double Histogram::FractionBelow(double x) const {
-  if (!populated) return kDefaultRangeSelectivity;
-  if (x <= lo) return 0.0;
-  if (x >= hi) return 1.0;
-  const double width = (hi - lo) / kBuckets;
-  double below = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    const double bucket_lo = lo + b * width;
-    const double bucket_hi = bucket_lo + width;
-    if (x >= bucket_hi) {
-      below += fractions[b];
-    } else {
-      below += fractions[b] * (x - bucket_lo) / width;
-      break;
-    }
-  }
-  return Clamp01(below);
-}
-
-CardinalityEstimator::CardinalityEstimator(const Database& db) : db_(db) {
-  for (RelId rel = 0; rel < db.num_relations(); ++rel) {
-    const Relation& relation = db.relation(rel);
-    const Scheme& scheme = relation.scheme();
+const AttrStats& CardinalityEstimator::FetchStats(AttrId attr) const {
+  static const AttrStats kDefault;
+  const AttrStats* found = &kDefault;
+  const Catalog& catalog = db_.catalog();
+  if (attr < catalog.num_attrs() &&
+      catalog.AttrRelation(attr) < db_.num_relations()) {
+    const RelId rel = catalog.AttrRelation(attr);
+    std::shared_ptr<const RelationStats> stats = db_.CachedStats(rel);
+    const Scheme& scheme = db_.scheme(rel);
     for (size_t c = 0; c < scheme.size(); ++c) {
-      std::set<Value> distinct;
-      size_t nulls = 0;
-      std::vector<double> numeric_values;
-      for (const Tuple& row : relation.rows()) {
-        const Value& v = row.value(c);
-        if (v.is_null()) {
-          ++nulls;
-        } else {
-          distinct.insert(v);
-          if (v.kind() == Value::Kind::kInt ||
-              v.kind() == Value::Kind::kDouble) {
-            numeric_values.push_back(v.NumericValue());
-          }
-        }
-      }
-      AttrStats stats;
-      stats.distinct = std::max<double>(1.0, distinct.size());
-      stats.null_fraction =
-          relation.NumRows() == 0
-              ? 0.0
-              : static_cast<double>(nulls) / relation.NumRows();
-      if (numeric_values.size() >= 2) {
-        auto [lo_it, hi_it] =
-            std::minmax_element(numeric_values.begin(),
-                                numeric_values.end());
-        Histogram& h = stats.histogram;
-        h.lo = *lo_it;
-        h.hi = *hi_it;
-        if (h.hi > h.lo) {
-          const double width = (h.hi - h.lo) / Histogram::kBuckets;
-          for (double v : numeric_values) {
-            int bucket = static_cast<int>((v - h.lo) / width);
-            bucket = std::min(bucket, Histogram::kBuckets - 1);
-            h.fractions[bucket] += 1.0;
-          }
-          for (double& f : h.fractions) f /= numeric_values.size();
-          h.populated = true;
-        }
-      }
-      attr_stats_[scheme.col(c)] = stats;
+      attr_stats_.emplace(scheme.col(c), &(*stats)[c]);
+      if (scheme.col(c) == attr) found = &(*stats)[c];
     }
+    held_stats_.push_back(std::move(stats));
   }
+  attr_stats_.emplace(attr, found);
+  return *found;
 }
 
 double CardinalityEstimator::BaseRows(RelId rel) const {
@@ -88,9 +36,8 @@ double CardinalityEstimator::BaseRows(RelId rel) const {
 }
 
 const AttrStats& CardinalityEstimator::StatsOf(AttrId attr) const {
-  static const AttrStats kDefault;
   auto it = attr_stats_.find(attr);
-  return it == attr_stats_.end() ? kDefault : it->second;
+  return it == attr_stats_.end() ? FetchStats(attr) : *it->second;
 }
 
 double CardinalityEstimator::Selectivity(const PredicatePtr& pred) const {

@@ -1,47 +1,30 @@
 // Cardinality estimation in the System R tradition: per-attribute
-// distinct-value and null-fraction statistics collected from the database,
-// independence-assumption selectivities, and recursive cardinality
-// estimates for every operator the algebra supports.
+// distinct-value and null-fraction statistics (relational/stats.h, cached
+// by the database per relation version), independence-assumption
+// selectivities, and recursive cardinality estimates for every operator
+// the algebra supports.
 
 #ifndef FRO_OPTIMIZER_CARDINALITY_H_
 #define FRO_OPTIMIZER_CARDINALITY_H_
 
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "algebra/expr.h"
 #include "optimizer/feedback.h"
 #include "relational/database.h"
+#include "relational/stats.h"
 
 namespace fro {
 
-/// Equi-width histogram over an attribute's numeric values, used for
-/// range-predicate selectivity (col < literal and friends).
-struct Histogram {
-  static constexpr int kBuckets = 8;
-  double lo = 0;
-  double hi = 0;
-  /// Fraction of (numeric, non-null) values per bucket; sums to 1 when
-  /// populated.
-  double fractions[kBuckets] = {0};
-  bool populated = false;
-
-  /// Estimated fraction of values strictly below `x` (linear
-  /// interpolation within the containing bucket).
-  double FractionBelow(double x) const;
-};
-
-/// Per-attribute statistics gathered by scanning a relation once.
-struct AttrStats {
-  double distinct = 1.0;       // non-null distinct values (>= 1)
-  double null_fraction = 0.0;  // fraction of null values
-  Histogram histogram;         // numeric attributes only
-};
-
 class CardinalityEstimator {
  public:
-  /// Scans every relation of `db` to collect statistics. The database must
-  /// outlive the estimator.
-  explicit CardinalityEstimator(const Database& db);
+  /// Reads no rows: the statistics of a relation are fetched from
+  /// Database::CachedStats the first time one of its attributes is
+  /// asked about, and held for the estimator's lifetime. The database
+  /// must outlive the estimator.
+  explicit CardinalityEstimator(const Database& db) : db_(db) {}
 
   double BaseRows(RelId rel) const;
   const AttrStats& StatsOf(AttrId attr) const;
@@ -88,8 +71,16 @@ class CardinalityEstimator {
   double MatchFraction(const PredicatePtr& pred, const AttrSet& kept_attrs,
                        double other_rows) const;
 
+  /// Fetches the statistics of `attr`'s relation and memoizes every one
+  /// of its attributes; StatsOf's slow path.
+  const AttrStats& FetchStats(AttrId attr) const;
+
   const Database& db_;
-  std::unordered_map<AttrId, AttrStats> attr_stats_;
+  /// Memo of StatsOf, filled a relation at a time. Single-threaded like
+  /// the estimator itself (one per Optimize call).
+  mutable std::unordered_map<AttrId, const AttrStats*> attr_stats_;
+  /// The snapshots attr_stats_ points into.
+  mutable std::vector<std::shared_ptr<const RelationStats>> held_stats_;
   const CardinalityFeedback* feedback_ = nullptr;
 };
 

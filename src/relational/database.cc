@@ -1,20 +1,8 @@
 #include "relational/database.h"
 
-#include <mutex>
-
 #include "common/check.h"
 
 namespace fro {
-
-namespace {
-/// Guards every Database's columns_cache_. Global because Database must
-/// stay movable and cache fills are rare (once per relation); reads
-/// take it once per plan build, never per batch.
-std::mutex& ColumnsCacheMutex() {
-  static std::mutex mu;
-  return mu;
-}
-}  // namespace
 
 Result<RelId> Database::AddRelation(
     const std::string& name, const std::vector<std::string>& column_names) {
@@ -28,7 +16,7 @@ Result<RelId> Database::AddRelation(
   relations_.emplace_back(Scheme(std::move(cols)));
   generations_.push_back(0);
   FRO_CHECK_EQ(relations_.size(), static_cast<size_t>(rel) + 1);
-  InvalidateAllColumns();  // relations_ may have reallocated
+  InvalidateAllCaches();  // relations_ may have reallocated
   return rel;
 }
 
@@ -51,14 +39,14 @@ void Database::SetRows(RelId rel, std::vector<Tuple> rows) {
   FRO_CHECK_LT(rel, relations_.size());
   relations_[rel] = Relation(relations_[rel].scheme(), std::move(rows));
   ++generations_[rel];
-  InvalidateColumns(rel);
+  InvalidateCaches(rel);
 }
 
 void Database::AddRow(RelId rel, std::vector<Value> values) {
   FRO_CHECK_LT(rel, relations_.size());
   relations_[rel].AddRow(std::move(values));
   ++generations_[rel];
-  InvalidateColumns(rel);
+  InvalidateCaches(rel);
 }
 
 uint64_t Database::generation(RelId rel) const {
@@ -73,14 +61,14 @@ const Relation& Database::relation(RelId rel) const {
 
 Relation* Database::mutable_relation(RelId rel) {
   FRO_CHECK_LT(rel, relations_.size());
-  ++generations_[rel];     // the handout itself is a (potential) mutation
-  InvalidateColumns(rel);  // the caller may mutate rows through this
+  ++generations_[rel];    // the handout itself is a (potential) mutation
+  InvalidateCaches(rel);  // the caller may mutate rows through this
   return &relations_[rel];
 }
 
 std::shared_ptr<RelationColumns> Database::CachedColumns(RelId rel) const {
   FRO_CHECK_LT(rel, relations_.size());
-  std::lock_guard<std::mutex> lock(ColumnsCacheMutex());
+  std::lock_guard<std::mutex> lock(*cache_mu_);
   if (columns_cache_.size() != relations_.size()) {
     columns_cache_.resize(relations_.size());
   }
@@ -91,14 +79,30 @@ std::shared_ptr<RelationColumns> Database::CachedColumns(RelId rel) const {
   return slot;
 }
 
-void Database::InvalidateColumns(RelId rel) {
-  std::lock_guard<std::mutex> lock(ColumnsCacheMutex());
-  if (rel < columns_cache_.size()) columns_cache_[rel].reset();
+std::shared_ptr<const RelationStats> Database::CachedStats(RelId rel) const {
+  FRO_CHECK_LT(rel, relations_.size());
+  std::lock_guard<std::mutex> lock(*cache_mu_);
+  if (stats_cache_.size() != relations_.size()) {
+    stats_cache_.resize(relations_.size());
+  }
+  std::shared_ptr<const RelationStats>& slot = stats_cache_[rel];
+  if (slot == nullptr) {
+    slot = std::make_shared<const RelationStats>(
+        ComputeRelationStats(relations_[rel]));
+  }
+  return slot;
 }
 
-void Database::InvalidateAllColumns() {
-  std::lock_guard<std::mutex> lock(ColumnsCacheMutex());
+void Database::InvalidateCaches(RelId rel) {
+  std::lock_guard<std::mutex> lock(*cache_mu_);
+  if (rel < columns_cache_.size()) columns_cache_[rel].reset();
+  if (rel < stats_cache_.size()) stats_cache_[rel].reset();
+}
+
+void Database::InvalidateAllCaches() {
+  std::lock_guard<std::mutex> lock(*cache_mu_);
   columns_cache_.clear();
+  stats_cache_.clear();
 }
 
 AttrId Database::Attr(const std::string& rel_name,

@@ -5,12 +5,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "relational/column.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
+#include "relational/stats.h"
 
 namespace fro {
 
@@ -58,6 +60,13 @@ class Database {
   /// race query execution (scans already hold `rows()` by reference).
   std::shared_ptr<RelationColumns> CachedColumns(RelId rel) const;
 
+  /// `rel`'s per-attribute statistics (ComputeRelationStats), computed
+  /// on first request and kept until the relation next mutates, under
+  /// the same lock and the same invalidation points as CachedColumns.
+  /// A caller holding the returned snapshot keeps it valid across later
+  /// mutations; it just describes the old version.
+  std::shared_ptr<const RelationStats> CachedStats(RelId rel) const;
+
   const Catalog& catalog() const { return catalog_; }
   Catalog* mutable_catalog() { return &catalog_; }
   size_t num_relations() const { return relations_.size(); }
@@ -69,10 +78,11 @@ class Database {
   RelId Rel(const std::string& name) const;
 
  private:
-  /// Forgets cached column mirrors: the affected slot on row mutation,
-  /// every slot when relations_ may have reallocated (AddRelation).
-  void InvalidateColumns(RelId rel);
-  void InvalidateAllColumns();
+  /// Forgets cached column mirrors and statistics: the affected slot on
+  /// row mutation, every slot when relations_ may have reallocated
+  /// (AddRelation).
+  void InvalidateCaches(RelId rel);
+  void InvalidateAllCaches();
 
   Catalog catalog_;
   std::vector<Relation> relations_;
@@ -81,8 +91,14 @@ class Database {
   /// Parallel to relations_. Mirrors hold `const Relation*` into
   /// relations_, which stays stable under Database moves (the vector's
   /// heap buffer moves wholesale) but not under AddRelation
-  /// reallocation — hence InvalidateAllColumns there.
+  /// reallocation — hence InvalidateAllCaches there.
   mutable std::vector<std::shared_ptr<RelationColumns>> columns_cache_;
+  /// Parallel to relations_; snapshots own their data.
+  mutable std::vector<std::shared_ptr<const RelationStats>> stats_cache_;
+  /// Guards columns_cache_ and stats_cache_. Per Database, so sessions
+  /// that each translate into their own Database never contend on it;
+  /// behind a pointer so Database stays movable.
+  std::unique_ptr<std::mutex> cache_mu_ = std::make_unique<std::mutex>();
 };
 
 }  // namespace fro

@@ -157,6 +157,32 @@ TEST_F(ExprTest, InternStatsCountHitsAndMisses) {
   EXPECT_GT(after.hits, mid.hits);        // second build reuses them
 }
 
+TEST_F(ExprTest, InterningStaysBoundedAcrossRebuilds) {
+  // Re-planning rebuilds the same shapes after the previous nodes died.
+  // The arena must reuse or sweep their expired entries rather than add
+  // a twin per rebuild.
+  auto build = [&]() {
+    ExprPtr core = Expr::OuterJoin(
+        Expr::Join(Expr::Leaf(x_, db_), Expr::Leaf(y_, db_),
+                   EqCols(a_, b_)),
+        Expr::Leaf(z_, db_), EqCols(b_, c_), /*preserves_left=*/true);
+    return Expr::Project(
+        Expr::Restrict(core, CmpLit(CmpOp::kGt, a_, Value::Int(3))),
+        {a_, c_}, /*dedup=*/false);
+  };
+  build();  // leaves one expired entry per node behind
+  const ExprInternStats before = GetExprInternStats();
+  for (int i = 0; i < 10000; ++i) {
+    ExprPtr first = build();
+    ExprPtr second = build();
+    ASSERT_EQ(first.get(), second.get());  // live equal nodes are shared
+    ASSERT_EQ(first->left().get(), second->left().get());
+  }
+  const ExprInternStats after = GetExprInternStats();
+  EXPECT_LE(after.slots, before.slots + 8);
+  EXPECT_GE(after.slots, after.live);
+}
+
 TEST_F(ExprTest, HashDistinguishesOperatorVariants) {
   ExprPtr x = Expr::Leaf(x_, db_);
   ExprPtr y = Expr::Leaf(y_, db_);
