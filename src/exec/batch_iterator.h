@@ -206,7 +206,8 @@ class BatchIterator {
 
 using BatchIteratorPtr = std::unique_ptr<BatchIterator>;
 
-/// Runs a batch iterator to exhaustion and materializes the result.
+/// Runs a batch iterator to exhaustion and materializes the result:
+/// `DrainChecked(iterator, nullptr)`, which cannot fail.
 ///
 /// Blind to interruption: a cancel or deadline looks like ordinary
 /// exhaustion, and the caller receives a silently truncated relation

@@ -8,18 +8,6 @@
 
 namespace fro {
 
-Relation DrainBatches(BatchIterator* iterator) {
-  Relation out(iterator->scheme());
-  iterator->Open();
-  TupleBatch batch;
-  while (iterator->NextBatch(&batch)) {
-    const size_t n = batch.size();
-    for (size_t i = 0; i < n; ++i) out.AddRow(batch.selected(i));
-  }
-  iterator->Close();
-  return out;
-}
-
 Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
   Relation out(iterator->scheme());
   iterator->Open();
@@ -38,6 +26,11 @@ Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
     FRO_RETURN_IF_ERROR(control->status());
   }
   return out;
+}
+
+Relation DrainBatches(BatchIterator* iterator) {
+  // Without a control nothing can stop the drain, so it cannot fail.
+  return std::move(DrainChecked(iterator, nullptr)).value();
 }
 
 ExecStats CollectPipelineStats(BatchIterator* root) {
@@ -777,27 +770,29 @@ const Scheme& BatchHashJoinIterator::scheme() const { return out_scheme_; }
 
 void GojPadMerge::Reset(int participants) {
   std::lock_guard<std::mutex> lock(mu_);
-  matched_.clear();
-  seen_.clear();
+  merged_.clear();
   running_ = participants;
 }
 
-bool GojPadMerge::Finish(Projections* matched, Projections* seen,
+bool GojPadMerge::Finish(Projections* projections,
                          std::vector<std::vector<Value>>* missing) {
   std::lock_guard<std::mutex> lock(mu_);
-  matched_.merge(*matched);
-  seen_.merge(*seen);
-  matched->clear();
-  seen->clear();
+  // Moves over the projections new to the union; what stays behind was
+  // already there and only contributes its flag.
+  merged_.merge(*projections);
+  for (const auto& [key, matched] : *projections) {
+    if (matched) merged_.find(key)->second = true;
+  }
+  projections->clear();
   FRO_CHECK_GT(running_, 0);
   if (--running_ > 0) return false;  // another participant still streams
-  // The set unions already collapsed projections several participants
-  // saw, so each missing DISTINCT projection is listed once.
-  for (const std::vector<Value>& key : seen_) {
-    if (matched_.count(key) == 0) missing->push_back(key);
+  // The union already collapsed projections several participants saw, so
+  // each missing DISTINCT projection is listed once.
+  for (const auto& [key, matched] : merged_) {
+    if (!matched) missing->push_back(key);
   }
-  matched_.clear();
-  seen_.clear();
+  std::sort(missing->begin(), missing->end());
+  merged_.clear();
   return true;
 }
 
@@ -829,8 +824,7 @@ void BatchGojIterator::OpenImpl() {
   if (residual_ != nullptr) bound_.Bind(residual_, out_scheme_);
   build_.Open();
   if (owns_pads_) pads_->Reset(1);
-  matched_.clear();
-  seen_.clear();
+  projections_.clear();
   input_.Clear();
   input_pos_ = 0;
   left_active_ = false;
@@ -839,13 +833,17 @@ void BatchGojIterator::OpenImpl() {
   pad_pos_ = 0;
 }
 
-std::vector<Value> BatchGojIterator::ProjectSubset(const Tuple& lrow) const {
-  std::vector<Value> key;
-  key.reserve(subset_positions_.size());
+void BatchGojIterator::RecordProjection(const Tuple& lrow, bool matched) {
+  projection_.clear();
   for (int pos : subset_positions_) {
-    key.push_back(lrow.value(static_cast<size_t>(pos)));
+    projection_.push_back(lrow.value(static_cast<size_t>(pos)));
   }
-  return key;
+  auto it = projections_.find(projection_);
+  if (it == projections_.end()) {
+    projections_.emplace(projection_, matched);
+  } else if (matched) {
+    it->second = true;
+  }
 }
 
 bool BatchGojIterator::NextBatchImpl(TupleBatch* out) {
@@ -887,9 +885,7 @@ bool BatchGojIterator::NextBatchImpl(TupleBatch* out) {
         out->CommitSlot();
       }
     }
-    std::vector<Value> key = ProjectSubset(lrow);
-    if (left_had_match_) matched_.insert(key);
-    seen_.insert(std::move(key));
+    RecordProjection(lrow, left_had_match_);
     left_active_ = false;
     ++input_pos_;
   }
@@ -898,7 +894,7 @@ bool BatchGojIterator::NextBatchImpl(TupleBatch* out) {
 void BatchGojIterator::FinishStream() {
   streamed_ = true;
   std::vector<std::vector<Value>> missing;
-  if (!pads_->Finish(&matched_, &seen_, &missing)) return;
+  if (!pads_->Finish(&projections_, &missing)) return;
   // (pi[S](L) - pi[S](JN)) x null. Left columns keep their positions
   // under Concat, so the left-scheme subset positions index the output
   // scheme directly.
@@ -915,8 +911,7 @@ void BatchGojIterator::CloseImpl() {
   left_->Close();
   build_.Close();
   left_active_ = false;
-  matched_.clear();
-  seen_.clear();
+  projections_.clear();
   pad_rows_.clear();
   pad_pos_ = 0;
 }

@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/batch_iterator.h"
@@ -276,27 +277,32 @@ class BatchHashJoinIterator : public BatchIterator {
 };
 
 /// The eq. 14 padding state of one GOJ plan node, shared by everything
-/// that streams it: pi[S] of the join and of the preserved input,
-/// unioned as each participant finishes — one participant for a serial
-/// plan, one per worker behind an exchange. The last participant to
-/// finish emits the pads.
+/// that streams it: pi[S] of the preserved input, each projection flagged
+/// when some joined row carries it, unioned as each participant finishes
+/// — one participant for a serial plan, one per worker behind an
+/// exchange. The last participant to finish emits the pads.
 class GojPadMerge {
  public:
-  using Projections = std::set<std::vector<Value>>;
+  struct KeyHash {
+    size_t operator()(const std::vector<Value>& key) const {
+      return HashValues(key.data(), key.size());
+    }
+  };
+  /// pi[S](L), each projection mapped to "also in pi[S](JN)".
+  using Projections = std::unordered_map<std::vector<Value>, bool, KeyHash>;
 
   /// Arms the merge for `participants` streams; call while none runs.
   void Reset(int participants);
 
-  /// Folds one participant's projection sets in (consuming them).
-  /// Returns true for the last participant and hands it
-  /// pi[S](L) - pi[S](JN) in `missing`, in set order.
-  bool Finish(Projections* matched, Projections* seen,
+  /// Folds one participant's projections in (consuming them). Returns
+  /// true for the last participant and hands it pi[S](L) - pi[S](JN) in
+  /// `missing`, sorted: the pad order of the GeneralizedOuterJoin kernel.
+  bool Finish(Projections* projections,
               std::vector<std::vector<Value>>* missing);
 
  private:
   std::mutex mu_;
-  Projections matched_;
-  Projections seen_;
+  Projections merged_;
   int running_ = 0;
 };
 
@@ -333,7 +339,8 @@ class BatchGojIterator : public BatchIterator {
   void CloseImpl() override;
 
  private:
-  std::vector<Value> ProjectSubset(const Tuple& lrow) const;
+  /// Records pi[S](lrow) and whether it joined.
+  void RecordProjection(const Tuple& lrow, bool matched);
   /// Merges this participant's projections; the last one stages pads.
   void FinishStream();
 
@@ -353,9 +360,9 @@ class BatchGojIterator : public BatchIterator {
   size_t input_pos_ = 0;
   bool left_active_ = false;
   bool left_had_match_ = false;
-  /// pi[S] of this participant's joined rows and of its left rows.
-  GojPadMerge::Projections matched_;
-  GojPadMerge::Projections seen_;
+  /// pi[S] of this participant's left rows, flagged when joined.
+  GojPadMerge::Projections projections_;
+  std::vector<Value> projection_;  // scratch key for lookups
   bool streamed_ = false;  // left input exhausted, projections merged
   std::vector<Tuple> pad_rows_;  // staged by the last participant
   size_t pad_pos_ = 0;

@@ -6,14 +6,6 @@ namespace fro {
 
 namespace {
 
-size_t HashKeySpan(const Value* data, size_t len) {
-  size_t h = 0x811c9dc5;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i].Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 bool KeySpanEquals(const Value* a, size_t a_len, const std::vector<Value>& b) {
   if (a_len != b.size()) return false;
   for (size_t i = 0; i < a_len; ++i) {
@@ -25,11 +17,11 @@ bool KeySpanEquals(const Value* a, size_t a_len, const std::vector<Value>& b) {
 }  // namespace
 
 size_t HashIndex::KeyHash::operator()(const std::vector<Value>& key) const {
-  return HashKeySpan(key.data(), key.size());
+  return HashValues(key.data(), key.size());
 }
 
 size_t HashIndex::KeyHash::operator()(const KeyView& key) const {
-  return HashKeySpan(key.data, key.len);
+  return HashValues(key.data, key.len);
 }
 
 bool HashIndex::KeyEq::operator()(const std::vector<Value>& a,

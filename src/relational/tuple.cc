@@ -36,11 +36,7 @@ void Tuple::AssignMapped(const Tuple& src, const std::vector<int>& positions) {
 }
 
 size_t Tuple::Hash() const {
-  size_t h = 0x811c9dc5;
-  for (const Value& v : values_) {
-    h ^= v.Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
-  }
-  return h;
+  return HashValues(values_.data(), values_.size());
 }
 
 std::string Tuple::ToString() const {

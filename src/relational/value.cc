@@ -1,7 +1,5 @@
 #include "relational/value.h"
 
-#include <functional>
-
 #include "common/check.h"
 #include "common/str_util.h"
 
@@ -9,42 +7,31 @@ namespace fro {
 
 int64_t Value::AsInt() const {
   FRO_CHECK(kind() == Kind::kInt) << "Value::AsInt on " << ToString();
-  return std::get<int64_t>(rep_);
+  return i_;
 }
 
 double Value::AsDouble() const {
   FRO_CHECK(kind() == Kind::kDouble) << "Value::AsDouble on " << ToString();
-  return std::get<double>(rep_);
+  return d_;
 }
 
 const std::string& Value::AsString() const {
   FRO_CHECK(kind() == Kind::kString) << "Value::AsString on " << ToString();
-  return std::get<std::string>(rep_);
+  return s_->str;
 }
 
 double Value::NumericValue() const {
-  if (kind() == Kind::kInt) return static_cast<double>(std::get<int64_t>(rep_));
+  if (kind() == Kind::kInt) return static_cast<double>(i_);
   FRO_CHECK(kind() == Kind::kDouble) << "non-numeric Value " << ToString();
-  return std::get<double>(rep_);
+  return d_;
 }
 
-bool Value::operator<(const Value& other) const {
-  if (kind() != other.kind()) return kind() < other.kind();
-  return rep_ < other.rep_;
-}
-
-size_t Value::Hash() const {
-  switch (kind()) {
-    case Kind::kNull:
-      return 0x9ae16a3b2f90404fULL;
-    case Kind::kInt:
-      return std::hash<int64_t>{}(std::get<int64_t>(rep_));
-    case Kind::kDouble:
-      return std::hash<double>{}(std::get<double>(rep_));
-    case Kind::kString:
-      return std::hash<std::string>{}(std::get<std::string>(rep_));
+size_t HashValues(const Value* data, size_t len) {
+  size_t h = 0x811c9dc5;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= data[i].Hash() + 0x9e3779b9 + (h << 6) + (h >> 2);
   }
-  return 0;
+  return h;
 }
 
 std::optional<int> Value::CompareSql(const Value& a, const Value& b) {
@@ -70,11 +57,11 @@ std::string Value::ToString() const {
     case Kind::kNull:
       return "-";
     case Kind::kInt:
-      return std::to_string(std::get<int64_t>(rep_));
+      return std::to_string(i_);
     case Kind::kDouble:
-      return StrFormat("%g", std::get<double>(rep_));
+      return StrFormat("%g", d_);
     case Kind::kString:
-      return "'" + std::get<std::string>(rep_) + "'";
+      return "'" + s_->str + "'";
   }
   return "?";
 }
