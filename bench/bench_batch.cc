@@ -10,14 +10,11 @@
 //     row), reported separately.
 //
 // Emits a JSON array of {pipeline, rows, out_rows, batch_ns, batch_mtps,
-// batch_materialize_ns} rows on stdout
-// (scripts/bench.sh redirects it into BENCH_PR7.json). Every *_ns field
-// is the median of the repetitions, with the observed spread alongside
-// as *_min_ns / *_max_ns — a run whose median sits far from its min was
-// noisy, and the baseline-comparison gate (scripts/bench_compare.py)
-// reads the spread to tell regressions from noise. `--smoke` lowers the
-// repetition count (never below 5) but keeps the 100k-tuple scale, so
-// the CI artifact still documents the headline numbers.
+// batch_materialize_ns} rows on stdout. Every *_ns field is the median
+// of the repetitions, with the observed spread alongside as *_min_ns /
+// *_max_ns — a run whose median sits far from its min was noisy.
+// `--smoke` lowers the repetition count (never below 5) but keeps the
+// 100k-tuple scale.
 
 #include <algorithm>
 #include <chrono>

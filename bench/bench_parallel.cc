@@ -6,13 +6,12 @@
 // so the numbers only count agreeing executions.
 //
 // Emits a JSON object {"hardware_concurrency": N, "results": [...]} on
-// stdout (scripts/bench.sh redirects it into BENCH_PR6.json); each
-// result row is {pipeline, rows, out_rows, workers, ns, min_ns, max_ns,
-// mtps, speedup_vs_1}, where ns is the median of the repetitions and
-// min/max record the observed spread. hardware_concurrency is recorded
+// stdout; each result row is {pipeline, rows, out_rows, workers, ns,
+// min_ns, max_ns, mtps, speedup_vs_1}, where ns is the median of the
+// repetitions and min/max record the observed spread. hardware_concurrency is recorded
 // because speedup is bounded by the cores actually present: on a
 // single-core host every worker count degenerates to ~1x and the
-// artifact documents why. `--smoke` lowers the repetition count (never
+// report documents why. `--smoke` lowers the repetition count (never
 // below 5) but keeps the 200k-tuple scale.
 
 #include <algorithm>

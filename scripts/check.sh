@@ -42,8 +42,10 @@ if [[ "$run_asan" == 1 ]]; then
 fi
 
 if [[ "$run_bench" == 1 ]]; then
-  for b in build/bench/*; do
-    [[ -f "$b" && -x "$b" ]] || continue
+  # One harness per bench/*.cc; a build tree can still hold binaries of
+  # harnesses that were since deleted, so never glob build/bench/.
+  for src in bench/*.cc; do
+    b="build/bench/$(basename "$src" .cc)"
     echo "===== $b ====="
     "$b"
   done

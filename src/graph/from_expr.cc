@@ -20,6 +20,9 @@ std::set<RelId> ReferencedRelations(const PredicatePtr& pred,
 
 Status AddLeaves(const ExprPtr& expr, const Database& db, QueryGraph* graph) {
   if (expr->is_leaf()) {
+    if (graph->num_nodes() == QueryGraph::kMaxNodes) {
+      return InvalidArgument("graph(Q) supports at most 64 relations");
+    }
     graph->AddNode(expr->rel(), expr->attrs());
     return Status::Ok();
   }

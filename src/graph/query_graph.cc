@@ -7,7 +7,7 @@
 namespace fro {
 
 int QueryGraph::AddNode(RelId rel, AttrSet attrs) {
-  FRO_CHECK_LT(node_rel_.size(), 64u) << "query graphs support <= 64 nodes";
+  FRO_CHECK_LT(num_nodes(), kMaxNodes) << "query graphs support <= 64 nodes";
   FRO_CHECK_EQ(NodeOf(rel), -1) << "relation already has a node";
   node_rel_.push_back(rel);
   node_attrs_.push_back(std::move(attrs));

@@ -31,10 +31,13 @@ struct GraphEdge {
 /// A query graph over at most 64 nodes. Node subsets are 64-bit masks.
 class QueryGraph {
  public:
+  static constexpr int kMaxNodes = 64;
+
   QueryGraph() = default;
 
   /// Adds a node for ground relation `rel` with output attributes `attrs`;
-  /// returns its node index.
+  /// returns its node index. Callers building a graph from client input
+  /// reject more than kMaxNodes relations first.
   int AddNode(RelId rel, AttrSet attrs);
 
   /// Adds a join conjunct between nodes `u` and `v`; collapses into an

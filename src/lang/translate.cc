@@ -222,6 +222,12 @@ class Translator {
   Result<TranslationResult> Assemble() {
     TranslationResult result;
     QueryGraph& graph = result.graph;
+    if (db_->num_relations() > static_cast<size_t>(QueryGraph::kMaxNodes)) {
+      return InvalidArgument(
+          "the query has " + std::to_string(db_->num_relations()) +
+          " relations (From items plus '*' and '->' steps); at most " +
+          std::to_string(QueryGraph::kMaxNodes) + " are supported");
+    }
     for (RelId rel = 0; rel < db_->num_relations(); ++rel) {
       graph.AddNode(rel, db_->scheme(rel).ToAttrSet());
     }

@@ -2,8 +2,9 @@
 // collapse, cross-join forests, the 64-variable cap), Yannakakis
 // semijoin programs held to the binary plan's bag on both engines with
 // counter parity, safe-subjoin gating through the estimator, the
-// cost-gated ApplyAcyclic rewrite, and the optimizer pipeline end to
-// end (Section 4 simplification unlocking the fast path).
+// cost-gated ApplyAcyclic rewrite, the optimizer pipeline end to end
+// (Section 4 simplification unlocking the fast path), and the
+// input-plus-output bound over exact counters.
 
 #include <gtest/gtest.h>
 
@@ -18,23 +19,11 @@
 #include "optimizer/cost.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rewrite_pass.h"
+#include "plan_work.h"
 #include "testing/datagen.h"
 
 namespace fro {
 namespace {
-
-// Counts kSemijoin nodes in a plan.
-int CountSemijoins(const ExprPtr& expr) {
-  if (expr == nullptr || expr->kind() == OpKind::kLeaf) return 0;
-  int n = expr->kind() == OpKind::kSemijoin ? 1 : 0;
-  if (expr->is_multiway()) {
-    for (const ExprPtr& child : expr->mj_children()) {
-      n += CountSemijoins(child);
-    }
-    return n;
-  }
-  return n + CountSemijoins(expr->left()) + CountSemijoins(expr->right());
-}
 
 // A database of n relations R0(a,b), R1(a,b), ...; operands are the
 // leaves and tests wire conjuncts between named attributes.
@@ -382,6 +371,99 @@ TEST_F(YannakakisTest, StrongRestrictionUnlocksTheFastPathThroughSimplify) {
   EXPECT_TRUE(BagEquals(Eval(query, db_), Eval(outcome->plan, db_)));
   EXPECT_TRUE(BagEquals(Eval(query, db_),
                         ExecuteBatched(outcome->plan, db_)));
+}
+
+// --- Input-plus-output intermediates over exact counters ----------------
+
+// Skewed chains R0 - R1 - ... on which EVERY binary join order meets a
+// ~K^2 many-to-many intermediate that is entirely dangling, while a
+// Yannakakis program reduces the middles to their live block first and
+// so keeps every intermediate within input plus output (Luo et al.,
+// Algorithms for Optimizing Acyclic Queries).
+class SkewedChainTest : public ::testing::Test {
+ protected:
+  static constexpr int kFan = 8;   // live rows on each chain end
+  static constexpr int kLive = 2;  // live rows in each middle
+
+  // A middle relation: K rows on heavy key `left_key` whose right-hand
+  // values are dead downstream, K rows with dead left-hand values on
+  // heavy key `right_key`, and kLive live (0, 0) rows. `dead_base`
+  // keeps the dead ranges of different middles apart.
+  void AddMiddle(int k, int left_key, int right_key, int dead_base) {
+    const RelId rel = AddRel();
+    for (int j = 1; j <= k; ++j) {
+      db_.AddRow(rel, {Value::Int(left_key), Value::Int(dead_base + j)});
+      db_.AddRow(rel,
+                 {Value::Int(dead_base + k + j), Value::Int(right_key)});
+    }
+    for (int i = 0; i < kLive; ++i) {
+      db_.AddRow(rel, {Value::Int(0), Value::Int(0)});
+    }
+  }
+
+  // An end relation: kFan live rows on key 0 and K rows on `heavy_key`,
+  // the neighbouring middle's dangling partner. `key_col` 1 makes it the
+  // left end, 0 the right end.
+  void AddEnd(int k, int heavy_key, int key_col) {
+    const RelId rel = AddRel();
+    auto add = [&](int key, int payload) {
+      if (key_col == 0) {
+        db_.AddRow(rel, {Value::Int(key), Value::Int(payload)});
+      } else {
+        db_.AddRow(rel, {Value::Int(payload), Value::Int(key)});
+      }
+    };
+    for (int i = 1; i <= kFan; ++i) add(0, i);
+    for (int j = 1; j <= k; ++j) add(heavy_key, j);
+  }
+
+  RelId AddRel() {
+    return *db_.AddRelation("R" + std::to_string(db_.num_relations()),
+                            {"a0", "a1"});
+  }
+
+  // Ri.a1 = R{i+1}.a0 along the chain, in operand order.
+  ExprPtr ChainQuery() const {
+    auto attr = [&](int i, const char* name) {
+      return db_.Attr("R" + std::to_string(i), name);
+    };
+    ExprPtr expr = Expr::Leaf(0, db_);
+    for (int i = 1; i < static_cast<int>(db_.num_relations()); ++i) {
+      expr = Expr::Join(expr, Expr::Leaf(static_cast<RelId>(i), db_),
+                        EqCols(attr(i - 1, "a1"), attr(i, "a0")));
+    }
+    return expr;
+  }
+
+  Database db_;
+};
+
+TEST_F(SkewedChainTest, ChainThreeProgramStaysWithinInputPlusOutput) {
+  // Largest intermediate, semijoin program vs binary plan: 102 vs
+  // 10,016 rows at K = 100 and 202 vs 40,016 at K = 200.
+  for (const int k : {100, 200}) {
+    SCOPED_TRACE("K = " + std::to_string(k));
+    db_ = Database();
+    AddEnd(k, /*heavy_key=*/1, /*key_col=*/1);
+    AddMiddle(k, /*left_key=*/1, /*right_key=*/2, /*dead_base=*/1000);
+    AddEnd(k, /*heavy_key=*/2, /*key_col=*/0);
+    const ExprPtr query = ChainQuery();
+
+    // The shipped pipeline's cost gate picks the semijoin program.
+    Result<OptimizeOutcome> chosen = Optimize(query, db_);
+    ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+    ASSERT_GT(CountSemijoins(chosen->plan), 0);
+    OptimizeOptions off;
+    off.pipeline = RewritePipeline::Default().Without("acyclic");
+    Result<OptimizeOutcome> binary = Optimize(query, db_, off);
+    ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+
+    const uint64_t output = ExecuteBatched(query, db_).NumRows();
+    const uint64_t square = static_cast<uint64_t>(k) * k;
+    EXPECT_LE(LargestIntermediate(chosen->plan, db_),
+              TotalRows(db_) + output);
+    EXPECT_GE(LargestIntermediate(binary->plan, db_), square);
+  }
 }
 
 }  // namespace

@@ -179,6 +179,43 @@ TEST(TranslateTest, Errors) {
       translate("Select All From EMPLOYEE Where EMPLOYEE.Nope = 1").ok());
 }
 
+// `aliases` copies of EMPLOYEE chained on D#, plus REPORT.
+std::string ManyRelationQuery(int aliases) {
+  std::string from = "Select All From ";
+  std::string where = " Where ";
+  for (int i = 1; i <= aliases; ++i) {
+    from += "EMPLOYEE e" + std::to_string(i) + ", ";
+    if (i > 1) {
+      where += "e" + std::to_string(i - 1) + ".D# = e" + std::to_string(i) +
+               ".D# and ";
+    }
+  }
+  return from + "REPORT" + where + "REPORT.Cost = 1";
+}
+
+TEST(TranslateTest, MoreThan64RelationsIsInvalidArgument) {
+  // The query graph holds at most 64 nodes; a longer From list is a
+  // client error, not an internal invariant.
+  NestedDb db = MakeCompanyNestedDb();
+  Result<SelectQuery> ast = ParseQuery(ManyRelationQuery(70));
+  ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+  Result<TranslationResult> translated = TranslateQuery(db, *ast);
+  ASSERT_FALSE(translated.ok());
+  EXPECT_EQ(translated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(translated.status().ToString().find("71 relations"),
+            std::string::npos)
+      << translated.status().ToString();
+  // 64 relations is within the bound: the query reaches the checks after
+  // it (REPORT is joined to nothing, so it is disconnected).
+  ast = ParseQuery(ManyRelationQuery(63));
+  ASSERT_TRUE(ast.ok());
+  translated = TranslateQuery(db, *ast);
+  ASSERT_FALSE(translated.ok());
+  EXPECT_NE(translated.status().ToString().find("not connected"),
+            std::string::npos)
+      << translated.status().ToString();
+}
+
 TEST(RunQueryTest, QueretaroExampleEndToEnd) {
   // "returns at least one tuple for each employee in a Queretaro
   //  department. For Queretaro employees with children, one tuple is

@@ -218,6 +218,30 @@ TEST_F(ServerIntegrationTest, AdmissionControlShedsLoad) {
   EXPECT_GE(server_->metrics().rejected(), 1u);
 }
 
+TEST_F(ServerIntegrationTest, TooManyRelationsKeepsTheConnection) {
+  StartServer(ServerOptions());
+  FroClient client = MakeClient();
+  // 70 EMPLOYEE aliases plus REPORT: past the query graph's 64 nodes.
+  std::string query = "Select All From ";
+  std::string where = " Where ";
+  for (int i = 1; i <= 70; ++i) {
+    query += "EMPLOYEE e" + std::to_string(i) + ", ";
+    if (i > 1) {
+      where += "e" + std::to_string(i - 1) + ".D# = e" + std::to_string(i) +
+               ".D# and ";
+    }
+  }
+  query += "REPORT" + where + "REPORT.Cost = 1";
+  Result<Response> rejected = client.Query(query);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->status.code(), StatusCode::kInvalidArgument)
+      << rejected->status.ToString();
+
+  Result<Response> next = client.Query(kWorkload[0]);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(next->status.ok()) << next->status.ToString();
+}
+
 TEST_F(ServerIntegrationTest, StopWhileClientsConnected) {
   StartServer(ServerOptions());
   FroClient client = MakeClient();
