@@ -80,15 +80,13 @@ BENCHMARK(BM_Example1_ReorderedOrder)
     ->Unit(benchmark::kMillisecond);
 
 // The paper's premise made literal: persistent indexes on the key
-// columns, reused across executions instead of ad-hoc hash builds.
+// columns, kept in the relations' snapshots and reused across executions
+// instead of ad-hoc hash builds (the first iteration builds them).
 void BM_Example1_Reordered_PersistentIndexes(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Example1Fixture f = MakeFixture(n);
-  IndexManager manager;
-  manager.CreateIndex(*f.db, f.db->Rel("R2"), {f.db->Attr("R2", "k")});
-  manager.CreateIndex(*f.db, f.db->Rel("R3"), {f.db->Attr("R3", "k")});
   EvalOptions options;
-  options.indexes = &manager;
+  options.snapshot_indexes = true;
   uint64_t base_reads = 0;
   for (auto _ : state) {
     EvalStats stats;

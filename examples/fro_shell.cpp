@@ -13,8 +13,8 @@
 //   \connect host:port         switch to remote mode against a fro_serve
 //   \disconnect                back to local execution
 //   \cachestats                plan-cache counters (local or remote)
-//   \indexes [<query>]         build + list the IndexManager entries the
-//                              query's optimized plan can exploit
+//   \indexes [<query>]         run the query, then list the structures its
+//                              execution keeps in the relation snapshots
 //   \help                      this text
 //
 // In remote mode plain queries, \explain, and \analyze travel over the
@@ -33,15 +33,12 @@
 #include "common/str_util.h"
 #include "enumerate/it_enum.h"
 #include "lang/lang.h"
-#include "relational/index_manager.h"
 #include "relational/ops.h"
 #include "relational/pretty.h"
 #include "optimizer/explain.h"
 #include "server/client.h"
 #include "optimizer/plan_cache.h"
 #include "testing/nested_sample.h"
-#include "wcoj/leapfrog.h"
-#include "wcoj/trie_index.h"
 
 using namespace fro;
 
@@ -78,8 +75,8 @@ void PrintHelp() {
       "  \\cachestats        plan-cache counters (local or remote)\n"
       "  \\feedback          cardinality-feedback store: corrections,\n"
       "                     Q-error histogram, re-plan counters\n"
-      "  \\indexes [query]   build + list the IndexManager entries the\n"
-      "                     query's plan can exploit (always local)\n"
+      "  \\indexes [query]   run the query, then list the join tables and\n"
+      "                     tries its relation snapshots keep (always local)\n"
       "  \\help              this text\n"
       "schema: EMPLOYEE(D#, Rank, ChildName*), REPORT(Title, Cost),\n"
       "        DEPARTMENT(D#, Location, ->Manager, ->Secretary, ->Audit)\n");
@@ -197,54 +194,9 @@ void RunAnalyze(const NestedDb& db, const std::string& query) {
       analyzed.max_q_error);
 }
 
-/// Walks an optimized plan and materializes, through `manager`, the
-/// persistent indexes its operators can exploit: a hash index per
-/// join-like node whose build (inner) side is a base relation with
-/// equi-keys, and a trie per multiway-join operand that is a base
-/// relation, using the level order implied by the node's variable order.
-void CollectPlanIndexes(const ExprPtr& expr, const Database& db,
-                        IndexManager* manager) {
-  if (expr == nullptr || expr->is_leaf()) return;
-  if (expr->is_multiway()) {
-    MultiwaySpec spec = AnalyzeMultiwayJoin(expr);
-    for (size_t c = 0; c < expr->mj_children().size(); ++c) {
-      const ExprPtr& child = expr->mj_children()[c];
-      if (child->is_leaf()) {
-        std::unique_ptr<TrieIndex> owned;
-        BuildTrieIndex(db, child->rel(), spec.child_levels[c], manager,
-                       &owned);
-      } else {
-        CollectPlanIndexes(child, db, manager);
-      }
-    }
-    return;
-  }
-  if (expr->is_join_like()) {
-    // Same operand anchoring as the plan builder: the hash table is
-    // built over the non-preserved side.
-    ExprPtr outer = expr->left();
-    ExprPtr inner = expr->right();
-    if (!expr->preserves_left() && expr->kind() != OpKind::kJoin) {
-      std::swap(outer, inner);
-    }
-    if (inner->is_leaf()) {
-      EquiKeys keys =
-          ExtractEquiKeys(expr->pred(), Scheme(outer->attrs().ids()),
-                          db.scheme(inner->rel()));
-      if (keys.Usable()) {
-        manager->CreateIndex(db, inner->rel(), std::move(keys.right));
-      }
-    }
-  }
-  CollectPlanIndexes(expr->left(), db, manager);
-  CollectPlanIndexes(expr->right(), db, manager);
-}
-
 void RunIndexes(const NestedDb& db, const std::string& query) {
-  // The manager and the run that owns its database persist across
-  // commands, so a bare \indexes re-lists the current entries (with
-  // their build generations) without re-planning.
-  static std::unique_ptr<IndexManager> manager;
+  // The last run owns the database whose snapshots keep the structures,
+  // so a bare \indexes re-lists them without running anything.
   static std::optional<QueryRunResult> last;
   if (!query.empty()) {
     Result<QueryRunResult> run = RunQuery(db, query, LocalRunOptions());
@@ -252,36 +204,34 @@ void RunIndexes(const NestedDb& db, const std::string& query) {
       std::printf("error: %s\n", run.status().ToString().c_str());
       return;
     }
-    manager = std::make_unique<IndexManager>();
     last.emplace(std::move(*run));
-    CollectPlanIndexes(last->optimize.plan, *last->translation.db,
-                       manager.get());
   }
-  if (manager == nullptr) {
-    std::printf("no indexes built yet; usage: \\indexes <query>\n");
+  if (!last.has_value()) {
+    std::printf("no query run yet; usage: \\indexes <query>\n");
     return;
   }
   const Database& rel_db = *last->translation.db;
   const Catalog& catalog = rel_db.catalog();
-  std::vector<IndexInfo> infos = manager->ListIndexes(rel_db);
-  if (infos.empty()) {
-    std::printf("no index-eligible operators in the last plan\n");
-    return;
-  }
-  std::printf("%-24s %-5s %-36s %6s %4s %s\n", "relation", "kind", "keys",
-              "rows", "gen", "stale");
-  for (const IndexInfo& info : infos) {
-    std::string keys;
-    for (AttrId a : info.key_attrs) {
-      if (!keys.empty()) keys += ",";
-      keys += catalog.AttrName(a);
+  bool any = false;
+  for (RelId rel = 0; rel < rel_db.num_relations(); ++rel) {
+    for (const SnapshotStructureInfo& info :
+         rel_db.Snapshot(rel)->Structures()) {
+      if (!any) {
+        std::printf("%-24s %-10s %-36s %8s %10s\n", "relation", "kind",
+                    "keys", "rows", "bytes");
+        any = true;
+      }
+      std::string keys;
+      for (AttrId a : info.keys) {
+        if (!keys.empty()) keys += ",";
+        keys += catalog.AttrName(a);
+      }
+      std::printf("%-24s %-10s %-36s %8zu %10zu\n",
+                  catalog.RelationName(rel).c_str(), info.kind.c_str(),
+                  keys.c_str(), info.rows, info.bytes);
     }
-    std::printf("%-24s %-5s %-36s %6zu %4llu %s\n",
-                catalog.RelationName(info.rel).c_str(),
-                info.is_trie ? "trie" : "hash", keys.c_str(), info.rows,
-                static_cast<unsigned long long>(info.generation),
-                info.stale ? "yes" : "no");
   }
+  if (!any) std::printf("the last query kept no join table or trie\n");
 }
 
 void RunGraph(const NestedDb& db, const std::string& query) {

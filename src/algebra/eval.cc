@@ -1,6 +1,7 @@
 #include "algebra/eval.h"
 
 #include "common/check.h"
+#include "relational/index.h"
 
 namespace fro {
 
@@ -88,16 +89,18 @@ class Evaluator {
     Relation anchor_rel = EvalNode(anchor, /*is_root=*/false);
     Relation other_rel = EvalNode(other, /*is_root=*/false);
 
-    // A persistent index on the inner base relation, if one covers the
-    // predicate's equi-key columns.
-    const HashIndex* prebuilt = nullptr;
-    if (options_.indexes != nullptr && other->is_leaf()) {
+    // The inner base relation's persistent index on the predicate's
+    // equi-key columns.
+    std::shared_ptr<const HashIndex> index;
+    if (options_.snapshot_indexes && other->is_leaf() &&
+        options_.algo != JoinAlgo::kNestedLoop) {
       EquiKeys keys = ExtractEquiKeys(expr->pred(), anchor_rel.scheme(),
                                       other_rel.scheme());
       if (keys.Usable()) {
-        prebuilt = options_.indexes->Find(db_, other->rel(), keys.right);
+        index = SnapshotHashIndex(*db_.Snapshot(other->rel()), keys.right);
       }
     }
+    const HashIndex* prebuilt = index.get();
 
     KernelStats ks;
     Relation out;

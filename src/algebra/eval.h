@@ -6,7 +6,6 @@
 #include "algebra/expr.h"
 #include "relational/database.h"
 #include "relational/exec_stats.h"
-#include "relational/index_manager.h"
 #include "relational/ops.h"
 
 namespace fro {
@@ -14,10 +13,14 @@ namespace fro {
 struct EvalOptions {
   /// Kernel selection for all join-like operators.
   JoinAlgo algo = JoinAlgo::kAuto;
-  /// Optional persistent indexes: when a join-like operator's inner input
-  /// is a base relation with a matching index, the kernel probes it
-  /// instead of building an ad-hoc hash table. Must outlive the call.
-  const IndexManager* indexes = nullptr;
+  /// Persistent indexes, the paper's "assume that these keys have
+  /// indexes": when a join-like operator's inner input is a base
+  /// relation with equi-keys, the hash kernel probes that relation
+  /// snapshot's HashIndex on them (SnapshotHashIndex: built on first use,
+  /// kept until the relation mutates) instead of building an ad-hoc
+  /// table. The counters are unchanged either way. Off by default, so
+  /// the evaluator stays a self-contained per-query reference.
+  bool snapshot_indexes = false;
 };
 
 struct EvalStats {

@@ -6,7 +6,7 @@
 //  * row slots   — `capacity` owned Tuple slots, written via the
 //                  peek/commit protocol (the original TupleBatch form);
 //  * view        — `n` externally-owned contiguous rows presented
-//                  zero-copy, optionally carrying a RelationColumns
+//                  zero-copy, optionally carrying a RelationSnapshot
 //                  source so columnar reads are the *relation's* cached
 //                  column arrays at an offset (zero transpose per batch);
 //  * columns     — owned per-attribute ColumnVectors (typed contiguous
@@ -36,6 +36,7 @@
 
 #include "common/check.h"
 #include "relational/column.h"
+#include "relational/snapshot.h"
 #include "relational/tuple.h"
 
 namespace fro {
@@ -79,13 +80,13 @@ class ColumnBatch {
   /// Presents `n` externally-owned contiguous rows as the batch's
   /// content without copying anything — the zero-copy scan path. The
   /// rows must outlive every read of the batch. When the rows are a
-  /// window of a columnized relation, pass its RelationColumns as
+  /// window of a columnized relation, pass its RelationSnapshot as
   /// `source` with `source_offset` = the window's first row index:
   /// Column() then returns the relation's cached column arrays directly
   /// instead of transposing the window. Appending into a view batch is
   /// not allowed (Clear() first).
   void SetView(const Tuple* rows, size_t n,
-               const RelationColumns* source = nullptr,
+               const RelationSnapshot* source = nullptr,
                size_t source_offset = 0) {
     FRO_DCHECK(n <= capacity_);
     mode_ = Mode::kView;
@@ -101,12 +102,13 @@ class ColumnBatch {
 
   bool is_view() const { return mode_ == Mode::kView; }
 
-  /// The RelationColumns backing a view batch, or nullptr for other
+  /// The RelationSnapshot backing a view batch, or nullptr for other
   /// modes / plain views; *offset receives the view's first row index in
   /// the source relation. Consumers draining a whole relation through
-  /// contiguous views (hash-join builds) use this to reference the
-  /// relation instead of copying its tuples.
-  const RelationColumns* view_source(size_t* offset) const {
+  /// contiguous views (DrainBuildInput) use this to reference the
+  /// relation, and the structures its snapshot keeps, instead of copying
+  /// its tuples.
+  const RelationSnapshot* view_source(size_t* offset) const {
     if (mode_ != Mode::kView) return nullptr;
     *offset = src_offset_;
     return src_cols_;
@@ -237,7 +239,7 @@ class ColumnBatch {
   /// When in view mode, rows live in the viewed array instead of rows_.
   const Tuple* view_ = nullptr;
   /// Optional columnar source backing a view (see SetView).
-  const RelationColumns* src_cols_ = nullptr;
+  const RelationSnapshot* src_cols_ = nullptr;
   size_t src_offset_ = 0;
   /// Row storage: `capacity_` slots in rows mode (reused across Clear());
   /// the lazily-materialized mirror in columnar mode.

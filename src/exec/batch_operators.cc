@@ -52,34 +52,36 @@ ExecStats CollectPipelineStats(BatchIterator* root) {
 
 // --- Scan ----------------------------------------------------------------
 
-BatchScanIterator::BatchScanIterator(const Relation* relation,
-                                     std::shared_ptr<RelationColumns> columns)
-    : relation_(relation),
-      columns_(columns != nullptr
-                   ? std::move(columns)
-                   : std::make_shared<RelationColumns>(relation)) {
-  FRO_CHECK(relation != nullptr);
+BatchScanIterator::BatchScanIterator(
+    std::shared_ptr<const RelationSnapshot> snapshot)
+    : snapshot_(std::move(snapshot)) {
+  FRO_CHECK(snapshot_ != nullptr);
 }
+
+BatchScanIterator::BatchScanIterator(const Relation* relation)
+    : BatchScanIterator(std::make_shared<const RelationSnapshot>(relation)) {}
 
 void BatchScanIterator::OpenImpl() { pos_ = 0; }
 
 bool BatchScanIterator::NextBatchImpl(TupleBatch* out) {
-  const size_t total = relation_->NumRows();
+  const Relation& relation = snapshot_->relation();
+  const size_t total = relation.NumRows();
   if (pos_ >= total) return false;
   // Zero-copy: the batch views a capacity-sized window of the relation's
-  // contiguous row storage, with the relation's columnized mirror
-  // attached so downstream kernels get contiguous columns for free.
-  // Consumers read in place; the relation outlives the pipeline
-  // (BatchScanIterator's contract).
+  // contiguous row storage, with the snapshot attached so downstream
+  // kernels get contiguous columns for free. Consumers read in place;
+  // the scan holds the snapshot, so the rows outlive the pipeline.
   const size_t n = std::min(out->capacity(), total - pos_);
-  out->SetView(&relation_->rows()[pos_], n, columns_.get(), pos_);
+  out->SetView(&relation.rows()[pos_], n, snapshot_.get(), pos_);
   pos_ += n;
   return true;
 }
 
 void BatchScanIterator::CloseImpl() {}
 
-const Scheme& BatchScanIterator::scheme() const { return relation_->scheme(); }
+const Scheme& BatchScanIterator::scheme() const {
+  return snapshot_->relation().scheme();
+}
 
 // --- Filter ----------------------------------------------------------------
 

@@ -44,15 +44,16 @@ JoinMode JoinModeOf(OpKind kind);
 /// inner and left outer joins, the left operand's for anti/semijoins.
 Scheme JoinOutScheme(const Scheme& left, const Scheme& right, JoinMode mode);
 
-/// Full scan of a materialized relation (which must outlive the scan).
+/// Full scan of one relation version.
 class BatchScanIterator : public BatchIterator {
  public:
-  /// `columns` optionally shares a pre-built (or lazily-filled) columnar
-  /// mirror of `relation` — Database::CachedColumns hands one out so the
-  /// transpose is paid once per relation, not per plan build. When null
-  /// the scan builds a private mirror.
-  explicit BatchScanIterator(const Relation* relation,
-                             std::shared_ptr<RelationColumns> columns = nullptr);
+  /// Scans a base relation's snapshot (Database::Snapshot): its column
+  /// mirror and derived structures are shared with every other query
+  /// over the same version.
+  explicit BatchScanIterator(std::shared_ptr<const RelationSnapshot> snapshot);
+  /// Scans `relation` (which must outlive the scan) through a private
+  /// snapshot.
+  explicit BatchScanIterator(const Relation* relation);
   const Scheme& scheme() const override;
   const char* physical_name() const override { return "Scan"; }
 
@@ -62,11 +63,10 @@ class BatchScanIterator : public BatchIterator {
   void CloseImpl() override;
 
  private:
-  const Relation* relation_;
-  /// Lazily-columnized mirror of relation_, attached to every view batch
-  /// the scan emits so downstream kernels read whole-relation contiguous
-  /// columns with zero per-batch transpose.
-  std::shared_ptr<RelationColumns> columns_;
+  /// Attached to every view batch the scan emits, so downstream kernels
+  /// read whole-relation contiguous columns with zero per-batch
+  /// transpose.
+  std::shared_ptr<const RelationSnapshot> snapshot_;
   size_t pos_ = 0;
 };
 

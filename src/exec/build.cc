@@ -18,8 +18,7 @@ BatchIteratorPtr Build(const ExprPtr& expr, const Database& db,
   BatchIteratorPtr it;
   switch (expr->kind()) {
     case OpKind::kLeaf:
-      it = std::make_unique<BatchScanIterator>(&db.relation(expr->rel()),
-                                               db.CachedColumns(expr->rel()));
+      it = std::make_unique<BatchScanIterator>(db.Snapshot(expr->rel()));
       break;
     case OpKind::kRestrict:
       it = std::make_unique<BatchFilterIterator>(

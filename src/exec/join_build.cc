@@ -30,29 +30,29 @@ std::optional<double> NumericKey(const Value& v) {
 
 }  // namespace
 
-JoinBuildSide::JoinBuildSide(Scheme scheme, std::vector<AttrId> keys)
-    : scheme_(std::move(scheme)), keys_(std::move(keys)) {
-  for (AttrId attr : keys_) FRO_CHECK_GE(scheme_.IndexOf(attr), 0);
-}
-
-void JoinBuildSide::Build(BatchIterator* child) {
-  Release();
+DrainedRows DrainBuildInput(BatchIterator* child, size_t batch_capacity) {
   // Zero-copy detection: a plain base-relation scan streams the whole of
-  // one columnized relation as contiguous unselected views; when every
-  // batch fits that pattern the build references the relation (and its
-  // shared columnar mirror) instead of copying every tuple. The child is
-  // still drained normally so its ExecStats match the evaluator's.
-  Relation raw(scheme_);
+  // one relation version as contiguous unselected views; when every
+  // batch fits that pattern the result references the snapshot instead
+  // of copying every tuple. The child is drained normally either way.
+  DrainedRows out;
+  out.owned = Relation(child->scheme());
   child->Open();
-  TupleBatch scratch;
-  const RelationColumns* shared = nullptr;
+  TupleBatch scratch(batch_capacity);
+  const RelationSnapshot* shared = nullptr;
   size_t shared_end = 0;
   bool zero_copy = true;
+  // Copies the zero-copy prefix once the pattern breaks.
+  auto backfill = [&] {
+    for (size_t i = 0; i < shared_end; ++i) {
+      out.owned.AddRow(shared->relation().row(i));
+    }
+  };
   while (child->NextBatch(&scratch)) {
     const size_t n = scratch.size();
     if (zero_copy) {
       size_t off = 0;
-      const RelationColumns* src = scratch.view_source(&off);
+      const RelationSnapshot* src = scratch.view_source(&off);
       if (src != nullptr && !scratch.sel_active() &&
           (shared == nullptr ? off == 0 : (src == shared &&
                                            off == shared_end))) {
@@ -60,40 +60,36 @@ void JoinBuildSide::Build(BatchIterator* child) {
         shared_end += n;
         continue;  // rows already live in the relation
       }
-      // Pattern broke: backfill the prefix we skipped, then copy.
       zero_copy = false;
-      for (size_t i = 0; i < shared_end; ++i) {
-        raw.AddRow(shared->relation().row(i));
-      }
+      backfill();
     }
-    for (size_t i = 0; i < n; ++i) raw.AddRow(scratch.selected(i));
+    for (size_t i = 0; i < n; ++i) out.owned.AddRow(scratch.selected(i));
   }
   child->Close();
-  if (zero_copy && shared != nullptr &&
-      shared_end == shared->relation().NumRows()) {
-    rows_ = &shared->relation();
-    columns_ = shared;
-  } else {
-    if (zero_copy && shared != nullptr) {
-      // Contiguous views but not the whole relation (e.g. a morsel
-      // range): materialize the drained prefix after all.
-      for (size_t i = 0; i < shared_end; ++i) {
-        raw.AddRow(shared->relation().row(i));
-      }
+  if (zero_copy && shared != nullptr) {
+    if (shared_end == shared->relation().NumRows()) {
+      out.snapshot = shared;
+      out.owned = Relation();
+    } else {
+      backfill();  // contiguous views but not the whole relation
     }
-    owned_ = std::move(raw);
-    rows_ = &owned_;
-    owned_columns_ = std::make_unique<RelationColumns>(&owned_);
-    columns_ = owned_columns_.get();
   }
-  if (keys_.empty()) return;
+  return out;
+}
+
+JoinKeyIndex::JoinKeyIndex(const Relation& rows,
+                           const std::vector<AttrId>& keys,
+                           const ColumnVector* key_column)
+    : num_rows_(rows.NumRows()) {
+  FRO_CHECK(!keys.empty());
   // Single numeric key: build the flat probe table instead of the
   // generic HashIndex. Null keys are skipped (they never equi-match); a
   // non-numeric key value anywhere on the build side falls back to the
   // generic path, which handles heterogeneous keys.
-  if (keys_.size() == 1 && rows_->NumRows() < (size_t{1} << 30)) {
-    const int build_pos = scheme_.IndexOf(keys_[0]);
-    const size_t n = rows_->NumRows();
+  if (keys.size() == 1 && num_rows_ < (size_t{1} << 30)) {
+    const int build_pos = rows.scheme().IndexOf(keys[0]);
+    FRO_CHECK_GE(build_pos, 0);
+    const size_t n = num_rows_;
     size_t cap = 16;
     while (cap < n * 2) cap <<= 1;
     fast_buckets_.assign(cap, FastBucket{0.0, 0});
@@ -109,31 +105,28 @@ void JoinBuildSide::Build(BatchIterator* child) {
     // Per-bucket chain tail during the build, so duplicate keys chain in
     // build order (match order must equal the HashIndex path's).
     std::vector<uint32_t> tails(cap, 0);
-    use_fast_index_ = true;
-    // Dense key pass when the shared mirror holds the key column typed:
-    // one double/int load + null byte per row, no Value indirection. A
-    // kGeneric column (mixed int/double, strings) and the copied-drain
-    // path fall back to the row loop, which also demotes to the generic
-    // index on the first non-numeric key.
-    const ColumnVector* kc =
-        owned_columns_ == nullptr
-            ? &columns_->Column(static_cast<size_t>(build_pos))
-            : nullptr;
+    flat_ = true;
+    // Dense key pass when the key column is typed: one double/int load +
+    // null byte per row, no Value indirection. A kGeneric column (mixed
+    // int/double, strings) and a missing column fall back to the row
+    // loop, which also demotes to the generic index on the first
+    // non-numeric key.
     const bool dense_keys =
-        kc != nullptr && (kc->tag() == ColumnVector::Tag::kInt ||
-                          kc->tag() == ColumnVector::Tag::kDouble ||
-                          kc->tag() == ColumnVector::Tag::kEmpty);
+        key_column != nullptr &&
+        (key_column->tag() == ColumnVector::Tag::kInt ||
+         key_column->tag() == ColumnVector::Tag::kDouble ||
+         key_column->tag() == ColumnVector::Tag::kEmpty);
     for (size_t i = 0; i < n; ++i) {
       double key;
       if (dense_keys) {
-        if (kc->is_null(i)) continue;  // kEmpty columns are all null
-        key = NormalizedNumericKey(*kc, i);
+        if (key_column->is_null(i)) continue;  // kEmpty: all null
+        key = NormalizedNumericKey(*key_column, i);
       } else {
-        const Value& v = rows_->row(i).value(static_cast<size_t>(build_pos));
+        const Value& v = rows.row(i).value(static_cast<size_t>(build_pos));
         if (v.is_null()) continue;
         const std::optional<double> k = NumericKey(v);
         if (!k.has_value()) {
-          use_fast_index_ = false;
+          flat_ = false;
           break;
         }
         key = *k;
@@ -154,32 +147,63 @@ void JoinBuildSide::Build(BatchIterator* child) {
       tails[b] = static_cast<uint32_t>(i + 1);
     }
   }
-  if (!use_fast_index_) {
-    fast_buckets_.clear();
-    fast_next_.clear();
-    fast_bloom_.clear();
-    normalized_ = NormalizeOnKeyColumns(*rows_, keys_);
-    index_ = std::make_unique<HashIndex>(normalized_, keys_);
+  if (!flat_) {
+    fast_buckets_ = {};
+    fast_next_ = {};
+    fast_bloom_ = {};
+    hash_ = std::make_unique<HashIndex>(rows, keys);
   }
+}
+
+size_t JoinKeyIndex::bytes() const {
+  return fast_buckets_.capacity() * sizeof(FastBucket) +
+         fast_next_.capacity() * sizeof(uint32_t) + fast_bloom_.capacity() +
+         (hash_ != nullptr ? hash_->bytes() : 0);
+}
+
+JoinBuildSide::JoinBuildSide(Scheme scheme, std::vector<AttrId> keys)
+    : scheme_(std::move(scheme)), keys_(std::move(keys)) {
+  for (AttrId attr : keys_) FRO_CHECK_GE(scheme_.IndexOf(attr), 0);
+}
+
+void JoinBuildSide::Build(BatchIterator* child) {
+  Release();
+  rows_ = DrainBuildInput(child);
+  if (rows_.snapshot == nullptr) {
+    owned_columns_ = std::make_unique<RelationSnapshot>(&rows_.owned);
+    columns_ = owned_columns_.get();
+    if (!keys_.empty()) {
+      index_ = std::make_shared<const JoinKeyIndex>(rows_.owned, keys_,
+                                                    /*key_column=*/nullptr);
+    }
+    return;
+  }
+  // A whole base relation: its key index is built once per relation
+  // version and shared, like its column mirror.
+  const RelationSnapshot& snapshot = *rows_.snapshot;
+  columns_ = &snapshot;
+  if (keys_.empty()) return;
+  index_ = snapshot.Derived<JoinKeyIndex>("join-table", keys_, [&] {
+    const ColumnVector* key_column =
+        keys_.size() == 1 ? &snapshot.Column(static_cast<size_t>(
+                                scheme_.IndexOf(keys_[0])))
+                          : nullptr;
+    return std::make_shared<const JoinKeyIndex>(snapshot.relation(), keys_,
+                                                key_column);
+  });
 }
 
 void JoinBuildSide::Release() {
   index_.reset();
-  normalized_ = Relation();
-  fast_buckets_.clear();
-  fast_next_.clear();
-  fast_bloom_.clear();
-  use_fast_index_ = false;
-  // owned_columns_ points into owned_; drop it first.
+  // owned_columns_ points into rows_; drop it first.
   columns_ = nullptr;
   owned_columns_.reset();
-  owned_ = Relation();
-  rows_ = &owned_;
+  rows_ = DrainedRows();
 }
 
-void JoinBuildSide::ResolveHeads(const double* keys, const uint64_t* hashes,
-                                 const uint8_t* has, size_t n,
-                                 uint32_t* heads, uint8_t* needs) const {
+void JoinKeyIndex::ResolveHeads(const double* keys, const uint64_t* hashes,
+                                const uint8_t* has, size_t n, uint32_t* heads,
+                                uint8_t* needs) const {
   // Two passes. Pass 1 inspects only the home bucket, with no data-
   // dependent branch in the loop body: hit stores the chain head,
   // anything else stores 0, and the rare rows whose home bucket holds a
@@ -220,7 +244,7 @@ void JoinBuildSide::ResolveHeads(const double* keys, const uint64_t* hashes,
   }
 }
 
-uint32_t JoinBuildSide::FlatHead(const Value& key) const {
+uint32_t JoinKeyIndex::FlatHead(const Value& key) const {
   // A null probe key never matches; a non-numeric one cannot equal any of
   // the (all-numeric) build keys, so both yield no matches — exactly
   // what the generic probe would return.
@@ -241,7 +265,7 @@ uint32_t JoinBuildSide::FlatHead(const Value& key) const {
 BuildMatches JoinBuildSide::Chain(uint32_t head) const {
   BuildMatches m;  // default: no candidates
   if (head == 0) return m;
-  m.chain_next_ = fast_next_.data();
+  m.chain_next_ = index_->flat_next();
   m.chain_ = head;
   return m;
 }
@@ -251,12 +275,12 @@ BuildMatches JoinBuildSide::Candidates(const Tuple& probe,
                                        std::vector<Value>* scratch) const {
   if (keys_.empty()) {
     BuildMatches all;
-    all.end_ = rows_->NumRows();
+    all.end_ = NumRows();
     return all;
   }
-  if (use_fast_index_) {
-    return Chain(
-        FlatHead(probe.value(static_cast<size_t>(key_positions[0]))));
+  if (index_->flat()) {
+    return Chain(index_->FlatHead(
+        probe.value(static_cast<size_t>(key_positions[0]))));
   }
   static const std::vector<size_t> kNoMatches;
   BuildMatches m;
@@ -267,7 +291,7 @@ BuildMatches JoinBuildSide::Candidates(const Tuple& probe,
     if (v.is_null()) return m;
     scratch->push_back(std::move(v));
   }
-  m.list_ = &index_->Probe(scratch->data(), scratch->size());
+  m.list_ = &index_->hash().Probe(scratch->data(), scratch->size());
   return m;
 }
 

@@ -7,6 +7,14 @@
 // subtree once into a shared one and every worker's join probes it. The
 // probe surface is const and touches no mutable state, so any number of
 // threads may probe one side concurrently once Build() has returned.
+//
+// When the build child is a bare base-relation scan, the key index is
+// the relation snapshot's (relational/snapshot.h): built by the first
+// query over that relation version and reused by every later one. A
+// reused build counts exactly like a fresh one: the child is still
+// drained, so its reads, the join's counters, EXPLAIN ANALYZE and the
+// feedback actuals are the same; only the table construction is
+// skipped.
 
 #ifndef FRO_EXEC_JOIN_BUILD_H_
 #define FRO_EXEC_JOIN_BUILD_H_
@@ -20,6 +28,7 @@
 #include "relational/column.h"
 #include "relational/index.h"
 #include "relational/relation.h"
+#include "relational/snapshot.h"
 
 namespace fro {
 
@@ -51,86 +60,63 @@ class BuildMatches {
   size_t end_ = 0;
 };
 
-class JoinBuildSide {
+/// A drained child's rows (DrainBuildInput).
+struct DrainedRows {
+  /// Set when the child streamed the whole of one relation version as
+  /// contiguous zero-copy views (a bare scan): the rows are the
+  /// snapshot's relation, and the child, which holds the snapshot, keeps
+  /// them alive.
+  const RelationSnapshot* snapshot = nullptr;
+  /// Otherwise a copy of every row the child produced.
+  Relation owned;
+
+  const Relation& rows() const {
+    return snapshot != nullptr ? snapshot->relation() : owned;
+  }
+};
+
+/// Opens, drains and closes `child` in batches of `batch_capacity` rows.
+/// The child is drained normally whatever it is, so its ExecStats equal
+/// the evaluator's; a whole base relation is referenced, not copied.
+DrainedRows DrainBuildInput(
+    BatchIterator* child,
+    size_t batch_capacity = TupleBatch::kDefaultCapacity);
+
+/// The equi-key index over a build side's rows, immutable once built so
+/// a snapshot can share it across queries and threads. When the key is
+/// one column and every non-null build key is numeric, probes go through
+/// a flat table with a Bloom prefilter; otherwise through a HashIndex.
+class JoinKeyIndex {
  public:
-  /// A build side over rows of `scheme`, indexed on `keys` (equi-key
-  /// attributes of `scheme`, paired positionally with the probe side's);
-  /// with no keys it is an unindexed candidate set for nested loops.
-  JoinBuildSide(Scheme scheme, std::vector<AttrId> keys);
-  JoinBuildSide(const JoinBuildSide&) = delete;  // rows_ may point at owned_
-  JoinBuildSide& operator=(const JoinBuildSide&) = delete;
+  /// Indexes `rows` on `keys` (attributes of its scheme). `key_column`,
+  /// when given, is the single key's column over the same rows; a typed
+  /// one lets the flat table read keys densely.
+  JoinKeyIndex(const Relation& rows, const std::vector<AttrId>& keys,
+               const ColumnVector* key_column);
 
-  /// Opens, drains and closes `child`, then indexes the rows. Replaces
-  /// whatever an earlier Build() left. The child's own counters account
-  /// for the drain; the build side counts nothing.
-  void Build(BatchIterator* child);
-
-  /// Drops the rows and the index (Close); the scheme and keys stay.
-  void Release();
-
-  const Scheme& scheme() const { return scheme_; }
-  const std::vector<AttrId>& keys() const { return keys_; }
-  size_t NumRows() const { return rows_->NumRows(); }
-  const Tuple& row(size_t i) const { return rows_->row(i); }
-
-  /// Columnized mirror of the rows: the scanned relation's shared mirror
-  /// after a zero-copy drain, else a private one filled lazily (and
-  /// thread-safely) per column.
-  const RelationColumns& columns() const { return *columns_; }
-
-  /// True when the key is one column and every non-null build key is
-  /// numeric: probes go through the flat table and its Bloom filter.
-  bool flat() const { return use_fast_index_; }
-
-  /// Flat table: the chain links, row -> next row with the same key, +1.
+  bool flat() const { return flat_; }
   const uint32_t* flat_next() const { return fast_next_.data(); }
-
-  /// Flat table, dense batch probe: heads[i] = chain head (+1, 0 = no
-  /// match) for the normalized keys/hashes HashColumns produced; rows
-  /// with has[i] == 0 never match. `needs` is caller scratch of n bytes.
   void ResolveHeads(const double* keys, const uint64_t* hashes,
                     const uint8_t* has, size_t n, uint32_t* heads,
                     uint8_t* needs) const;
+  /// The flat-table chain head (+1, 0 = no match) for one probe value.
+  uint32_t FlatHead(const Value& key) const;
+  /// The generic index; valid only when !flat().
+  const HashIndex& hash() const { return *hash_; }
 
-  /// Candidates for one probe row: the rows whose key equals the row's
-  /// values at `key_positions` (normalized; a null key matches nothing),
-  /// or every row when the side has no keys. `scratch` holds the probe
-  /// key for the generic index.
-  BuildMatches Candidates(const Tuple& probe,
-                          const std::vector<int>& key_positions,
-                          std::vector<Value>* scratch) const;
-
-  /// The flat-table chain starting at `head` (a ResolveHeads entry).
-  BuildMatches Chain(uint32_t head) const;
+  size_t num_rows() const { return num_rows_; }
+  size_t bytes() const;
 
  private:
-  uint32_t FlatHead(const Value& key) const;
-
-  Scheme scheme_;
-  std::vector<AttrId> keys_;
-  Relation owned_;
-  /// The rows the index covers: &owned_ after a copying drain, or the
-  /// scanned base relation itself when the build child streamed it as
-  /// contiguous zero-copy views (a plain Leaf scan) — then no tuple is
-  /// copied and no column is re-transposed.
-  const Relation* rows_ = &owned_;
-  std::unique_ptr<RelationColumns> owned_columns_;
-  const RelationColumns* columns_ = nullptr;
-  /// Key-normalized copy of the rows the generic index hashes over; kept
-  /// as a member because HashIndex requires its relation to outlive it.
-  /// Probe results are row indices valid for rows_ too (same row order),
-  /// and output tuples come from rows_ so key values keep their original
-  /// representation.
-  Relation normalized_;
-  std::unique_ptr<HashIndex> index_;
-  /// Specialized probe table, engaged when the key is one column and
-  /// every build-side key value is numeric. Keys are normalized the way
-  /// NormalizeHashKeyValue does (int widened to double), stored in a
-  /// flat power-of-two open-addressing array; rows sharing a key are
-  /// chained in build order through fast_next_, so match sets and match
-  /// order are identical to the HashIndex path. Probing it is one
-  /// contiguous-array lookup — no per-row Value materialization, no
-  /// generic key hashing, no node-based map traversal.
+  size_t num_rows_ = 0;
+  bool flat_ = false;
+  /// The flat table: keys normalized the way NormalizeHashKeyValue does
+  /// (int widened to double), stored in a power-of-two open-addressing
+  /// array; rows sharing a key are chained in build order through
+  /// fast_next_, so match sets and match order are identical to the
+  /// HashIndex path. Probing it is one contiguous-array lookup — no
+  /// per-row Value materialization, no generic key hashing, no
+  /// node-based map traversal.
   struct FastBucket {
     double key;
     uint32_t head;  // first build row with this key, +1; 0 = empty
@@ -153,7 +139,71 @@ class JoinBuildSide {
   /// produced linear-probe clusters dozens of buckets long; the top bits
   /// are well mixed and keep clusters near the theoretical minimum.
   size_t fast_shift_ = 64;
-  bool use_fast_index_ = false;
+  std::unique_ptr<HashIndex> hash_;
+};
+
+class JoinBuildSide {
+ public:
+  /// A build side over rows of `scheme`, indexed on `keys` (equi-key
+  /// attributes of `scheme`, paired positionally with the probe side's);
+  /// with no keys it is an unindexed candidate set for nested loops.
+  JoinBuildSide(Scheme scheme, std::vector<AttrId> keys);
+  JoinBuildSide(const JoinBuildSide&) = delete;  // columns_ may point at rows_
+  JoinBuildSide& operator=(const JoinBuildSide&) = delete;
+
+  /// Drains `child` (DrainBuildInput), then indexes the rows: through
+  /// the snapshot's shared key index after a whole base relation, else
+  /// with a private one. Replaces whatever an earlier Build() left. The
+  /// child's own counters account for the drain; the build side counts
+  /// nothing.
+  void Build(BatchIterator* child);
+
+  /// Drops the rows and the index (Close); the scheme and keys stay.
+  void Release();
+
+  const Scheme& scheme() const { return scheme_; }
+  const std::vector<AttrId>& keys() const { return keys_; }
+  size_t NumRows() const { return rows_.rows().NumRows(); }
+  const Tuple& row(size_t i) const { return rows_.rows().row(i); }
+
+  /// Columnized mirror of the rows: the scanned relation's snapshot
+  /// after a zero-copy drain, else a private one filled lazily (and
+  /// thread-safely) per column.
+  const RelationSnapshot& columns() const { return *columns_; }
+
+  /// True when probes go through the flat table and its Bloom filter.
+  bool flat() const { return index_ != nullptr && index_->flat(); }
+
+  /// Flat table: the chain links, row -> next row with the same key, +1.
+  const uint32_t* flat_next() const { return index_->flat_next(); }
+
+  /// Flat table, dense batch probe: heads[i] = chain head (+1, 0 = no
+  /// match) for the normalized keys/hashes HashColumns produced; rows
+  /// with has[i] == 0 never match. `needs` is caller scratch of n bytes.
+  void ResolveHeads(const double* keys, const uint64_t* hashes,
+                    const uint8_t* has, size_t n, uint32_t* heads,
+                    uint8_t* needs) const {
+    index_->ResolveHeads(keys, hashes, has, n, heads, needs);
+  }
+
+  /// Candidates for one probe row: the rows whose key equals the row's
+  /// values at `key_positions` (normalized; a null key matches nothing),
+  /// or every row when the side has no keys. `scratch` holds the probe
+  /// key for the generic index.
+  BuildMatches Candidates(const Tuple& probe,
+                          const std::vector<int>& key_positions,
+                          std::vector<Value>* scratch) const;
+
+  /// The flat-table chain starting at `head` (a ResolveHeads entry).
+  BuildMatches Chain(uint32_t head) const;
+
+ private:
+  Scheme scheme_;
+  std::vector<AttrId> keys_;
+  DrainedRows rows_;
+  std::unique_ptr<RelationSnapshot> owned_columns_;  // over rows_.owned
+  const RelationSnapshot* columns_ = nullptr;
+  std::shared_ptr<const JoinKeyIndex> index_;  // null without keys
 };
 
 /// A join operator's build input. A serial plan's operator owns its

@@ -24,13 +24,11 @@ bool MorselQueue::Claim(size_t* begin, size_t* end) {
   return true;
 }
 
-MorselScanIterator::MorselScanIterator(const Relation* relation,
-                                       std::shared_ptr<MorselQueue> queue,
-                                       std::shared_ptr<RelationColumns> columns)
-    : relation_(relation),
-      queue_(std::move(queue)),
-      columns_(std::move(columns)) {
-  FRO_CHECK(relation_ != nullptr);
+MorselScanIterator::MorselScanIterator(
+    std::shared_ptr<const RelationSnapshot> snapshot,
+    std::shared_ptr<MorselQueue> queue)
+    : snapshot_(std::move(snapshot)), queue_(std::move(queue)) {
+  FRO_CHECK(snapshot_ != nullptr);
   FRO_CHECK(queue_ != nullptr);
 }
 
@@ -42,7 +40,8 @@ void MorselScanIterator::OpenImpl() {
 bool MorselScanIterator::NextBatchImpl(TupleBatch* out) {
   if (begin_ >= end_ && !queue_->Claim(&begin_, &end_)) return false;
   const size_t n = std::min(out->capacity(), end_ - begin_);
-  out->SetView(&relation_->rows()[begin_], n, columns_.get(), begin_);
+  out->SetView(&snapshot_->relation().rows()[begin_], n, snapshot_.get(),
+               begin_);
   begin_ += n;
   return true;
 }
@@ -50,7 +49,7 @@ bool MorselScanIterator::NextBatchImpl(TupleBatch* out) {
 void MorselScanIterator::CloseImpl() {}
 
 const Scheme& MorselScanIterator::scheme() const {
-  return relation_->scheme();
+  return snapshot_->relation().scheme();
 }
 
 // --- Exchange --------------------------------------------------------------
@@ -87,12 +86,11 @@ constexpr size_t kQueuedBatchesPerWorker = 4;
 /// spine steps bottom-up (with their shared join inputs), and the worker
 /// pipelines compiled from them.
 struct ExchangeState {
-  const Relation* driver = nullptr;
+  /// The driver relation's snapshot, shared by all workers' morsel scans
+  /// (it builds each column once under a lock).
+  std::shared_ptr<const RelationSnapshot> driver;
   ExprPtr driver_expr;
   std::shared_ptr<MorselQueue> queue;
-  /// Column cache over the driver relation, shared by all workers'
-  /// morsel scans (RelationColumns builds each column once under a lock).
-  std::shared_ptr<RelationColumns> driver_columns;
   std::vector<ExchangeStep> steps;
   std::vector<BatchIteratorPtr> workers;
 };
@@ -310,8 +308,8 @@ bool SpineEligible(const ExprPtr& expr) {
 /// Compiles one worker pipeline from the planned spine.
 BatchIteratorPtr BuildWorker(const ExchangeState& state,
                              const ParallelOptions& options) {
-  BatchIteratorPtr it = std::make_unique<MorselScanIterator>(
-      state.driver, state.queue, state.driver_columns);
+  BatchIteratorPtr it =
+      std::make_unique<MorselScanIterator>(state.driver, state.queue);
   it->set_source_expr(state.driver_expr);
   for (const ExchangeStep& step : state.steps) {
     switch (step.expr->kind()) {
@@ -371,16 +369,15 @@ BatchIteratorPtr MakeExchange(const ExprPtr& expr, const Database& db,
   std::reverse(chain.begin(), chain.end());
 
   auto state = std::make_unique<ExchangeState>();
-  state->driver = &db.relation(cursor->rel());
+  state->driver = db.Snapshot(cursor->rel());
   state->driver_expr = cursor;
-  state->queue = std::make_shared<MorselQueue>(state->driver->NumRows(),
-                                               options.morsel_rows);
-  state->driver_columns = db.CachedColumns(cursor->rel());
+  state->queue = std::make_shared<MorselQueue>(
+      state->driver->relation().NumRows(), options.morsel_rows);
   // Build subtrees run once, serially: every worker then probes one
   // table in the serial plan's build order.
   ParallelOptions build_options = options;
   build_options.threads = 1;
-  Scheme scheme = state->driver->scheme();
+  Scheme scheme = state->driver->relation().scheme();
   for (const ExprPtr& node : chain) {
     ExchangeStep step;
     step.expr = node;

@@ -84,12 +84,11 @@ class MorselQueue {
 /// storage, at most a batch-capacity of rows at a time.
 class MorselScanIterator : public BatchIterator {
  public:
-  /// `columns` optionally attaches a relation-wide column cache shared by
-  /// every worker (RelationColumns is internally synchronized), giving
-  /// downstream vectorized operators transpose-free column access.
-  MorselScanIterator(const Relation* relation,
-                     std::shared_ptr<MorselQueue> queue,
-                     std::shared_ptr<RelationColumns> columns = nullptr);
+  /// Every worker's scan shares the relation's snapshot (its column
+  /// mirror is internally synchronized), giving downstream vectorized
+  /// operators transpose-free column access.
+  MorselScanIterator(std::shared_ptr<const RelationSnapshot> snapshot,
+                     std::shared_ptr<MorselQueue> queue);
   const Scheme& scheme() const override;
   const char* physical_name() const override { return "MorselScan"; }
 
@@ -99,9 +98,8 @@ class MorselScanIterator : public BatchIterator {
   void CloseImpl() override;
 
  private:
-  const Relation* relation_;
+  std::shared_ptr<const RelationSnapshot> snapshot_;
   std::shared_ptr<MorselQueue> queue_;
-  std::shared_ptr<RelationColumns> columns_;
   size_t begin_ = 0;  // unconsumed remainder of the claimed morsel
   size_t end_ = 0;
 };

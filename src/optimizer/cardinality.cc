@@ -19,13 +19,14 @@ const AttrStats& CardinalityEstimator::FetchStats(AttrId attr) const {
   if (attr < catalog.num_attrs() &&
       catalog.AttrRelation(attr) < db_.num_relations()) {
     const RelId rel = catalog.AttrRelation(attr);
-    std::shared_ptr<const RelationStats> stats = db_.CachedStats(rel);
-    const Scheme& scheme = db_.scheme(rel);
+    std::shared_ptr<const RelationSnapshot> snapshot = db_.Snapshot(rel);
+    const RelationStats& stats = snapshot->stats();
+    const Scheme& scheme = snapshot->relation().scheme();
     for (size_t c = 0; c < scheme.size(); ++c) {
-      attr_stats_.emplace(scheme.col(c), &(*stats)[c]);
-      if (scheme.col(c) == attr) found = &(*stats)[c];
+      attr_stats_.emplace(scheme.col(c), &stats[c]);
+      if (scheme.col(c) == attr) found = &stats[c];
     }
-    held_stats_.push_back(std::move(stats));
+    held_snapshots_.push_back(std::move(snapshot));
   }
   attr_stats_.emplace(attr, found);
   return *found;

@@ -20,9 +20,9 @@ namespace fro {
 
 class CardinalityEstimator {
  public:
-  /// Reads no rows: the statistics of a relation are fetched from
-  /// Database::CachedStats the first time one of its attributes is
-  /// asked about, and held for the estimator's lifetime. The database
+  /// Reads no rows: the statistics of a relation are fetched from its
+  /// Database::Snapshot the first time one of its attributes is asked
+  /// about, and held for the estimator's lifetime. The database
   /// must outlive the estimator.
   explicit CardinalityEstimator(const Database& db) : db_(db) {}
 
@@ -79,8 +79,9 @@ class CardinalityEstimator {
   /// Memo of StatsOf, filled a relation at a time. Single-threaded like
   /// the estimator itself (one per Optimize call).
   mutable std::unordered_map<AttrId, const AttrStats*> attr_stats_;
-  /// The snapshots attr_stats_ points into.
-  mutable std::vector<std::shared_ptr<const RelationStats>> held_stats_;
+  /// The snapshots whose statistics attr_stats_ points into.
+  mutable std::vector<std::shared_ptr<const RelationSnapshot>>
+      held_snapshots_;
   const CardinalityFeedback* feedback_ = nullptr;
 };
 

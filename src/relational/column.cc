@@ -1,8 +1,5 @@
 #include "relational/column.h"
 
-#include "common/check.h"
-#include "relational/relation.h"
-
 namespace fro {
 
 void ColumnVector::Demote() {
@@ -167,25 +164,6 @@ Value ColumnVector::ValueAt(size_t i) const {
       break;  // unreachable: kEmpty columns are all null
   }
   return Value::Null();
-}
-
-RelationColumns::RelationColumns(const Relation* relation)
-    : relation_(relation),
-      slots_(new Slot[relation->scheme().size()]) {}
-
-const ColumnVector& RelationColumns::Column(size_t pos) const {
-  FRO_CHECK(pos < relation_->scheme().size());
-  Slot& slot = slots_[pos];
-  if (!slot.ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!slot.ready.load(std::memory_order_relaxed)) {
-      const std::vector<Tuple>& rows = relation_->rows();
-      slot.column.Reserve(rows.size());
-      for (const Tuple& row : rows) slot.column.Append(row.value(pos));
-      slot.ready.store(true, std::memory_order_release);
-    }
-  }
-  return slot.column;
 }
 
 bool HashColumns(const std::vector<const ColumnVector*>& cols, size_t offset,

@@ -19,17 +19,12 @@
 #ifndef FRO_RELATIONAL_COLUMN_H_
 #define FRO_RELATIONAL_COLUMN_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "relational/value.h"
 
 namespace fro {
-
-class Relation;
 
 /// One attribute's values, stored contiguously with a separate null mask.
 class ColumnVector {
@@ -104,32 +99,6 @@ class ColumnVector {
   std::vector<double> dbls_;
   std::vector<Value> vals_;
   std::vector<uint8_t> nulls_;  // 1 = NULL; parallel to the value storage
-};
-
-/// Lazily-columnized mirror of a Relation: per-attribute ColumnVectors
-/// built on first request and cached. The relation's rows must not
-/// change while the mirror exists (the same contract batch scans already
-/// impose). Safe for concurrent Column() calls from morsel workers:
-/// construction is guarded by a mutex and publication is an
-/// acquire/release flag per column.
-class RelationColumns {
- public:
-  explicit RelationColumns(const Relation* relation);
-
-  /// The columnized attribute at scheme position `pos`.
-  const ColumnVector& Column(size_t pos) const;
-
-  const Relation& relation() const { return *relation_; }
-
- private:
-  struct Slot {
-    std::atomic<bool> ready{false};
-    ColumnVector column;
-  };
-
-  const Relation* relation_;
-  mutable std::mutex mu_;  // serializes builders; readers go lock-free
-  std::unique_ptr<Slot[]> slots_;
 };
 
 /// The hash the flat numeric probe tables key on: the normalized key's

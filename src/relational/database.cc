@@ -13,10 +13,13 @@ Result<RelId> Database::AddRelation(
     FRO_ASSIGN_OR_RETURN(AttrId attr, catalog_.RegisterAttr(rel, col));
     cols.push_back(attr);
   }
-  relations_.emplace_back(Scheme(std::move(cols)));
+  relations_.push_back(std::make_shared<Relation>(Scheme(std::move(cols))));
   generations_.push_back(0);
   FRO_CHECK_EQ(relations_.size(), static_cast<size_t>(rel) + 1);
-  InvalidateAllCaches();  // relations_ may have reallocated
+  // The catalog changed: every relation starts over from a fresh
+  // snapshot.
+  std::lock_guard<std::mutex> lock(*snapshot_mu_);
+  snapshots_.clear();
   return rel;
 }
 
@@ -31,22 +34,17 @@ Result<RelId> Database::CloneRelation(RelId source,
     columns.push_back(qualified.substr(qualified.find('.') + 1));
   }
   FRO_ASSIGN_OR_RETURN(RelId copy, AddRelation(new_name, columns));
-  SetRows(copy, relations_[source].rows());
+  SetRows(copy, relations_[source]->rows());
   return copy;
 }
 
 void Database::SetRows(RelId rel, std::vector<Tuple> rows) {
-  FRO_CHECK_LT(rel, relations_.size());
-  relations_[rel] = Relation(relations_[rel].scheme(), std::move(rows));
-  ++generations_[rel];
-  InvalidateCaches(rel);
+  Relation* target = Writable(rel);
+  *target = Relation(target->scheme(), std::move(rows));
 }
 
 void Database::AddRow(RelId rel, std::vector<Value> values) {
-  FRO_CHECK_LT(rel, relations_.size());
-  relations_[rel].AddRow(std::move(values));
-  ++generations_[rel];
-  InvalidateCaches(rel);
+  Writable(rel)->AddRow(std::move(values));
 }
 
 uint64_t Database::generation(RelId rel) const {
@@ -56,53 +54,36 @@ uint64_t Database::generation(RelId rel) const {
 
 const Relation& Database::relation(RelId rel) const {
   FRO_CHECK_LT(rel, relations_.size());
-  return relations_[rel];
+  return *relations_[rel];
 }
 
-Relation* Database::mutable_relation(RelId rel) {
-  FRO_CHECK_LT(rel, relations_.size());
-  ++generations_[rel];    // the handout itself is a (potential) mutation
-  InvalidateCaches(rel);  // the caller may mutate rows through this
-  return &relations_[rel];
-}
+Relation* Database::mutable_relation(RelId rel) { return Writable(rel); }
 
-std::shared_ptr<RelationColumns> Database::CachedColumns(RelId rel) const {
+std::shared_ptr<const RelationSnapshot> Database::Snapshot(RelId rel) const {
   FRO_CHECK_LT(rel, relations_.size());
-  std::lock_guard<std::mutex> lock(*cache_mu_);
-  if (columns_cache_.size() != relations_.size()) {
-    columns_cache_.resize(relations_.size());
+  std::lock_guard<std::mutex> lock(*snapshot_mu_);
+  if (snapshots_.size() != relations_.size()) {
+    snapshots_.resize(relations_.size());
   }
-  std::shared_ptr<RelationColumns>& slot = columns_cache_[rel];
+  std::shared_ptr<const RelationSnapshot>& slot = snapshots_[rel];
   if (slot == nullptr) {
-    slot = std::make_shared<RelationColumns>(&relations_[rel]);
+    slot = std::make_shared<RelationSnapshot>(relations_[rel]);
   }
   return slot;
 }
 
-std::shared_ptr<const RelationStats> Database::CachedStats(RelId rel) const {
+Relation* Database::Writable(RelId rel) {
   FRO_CHECK_LT(rel, relations_.size());
-  std::lock_guard<std::mutex> lock(*cache_mu_);
-  if (stats_cache_.size() != relations_.size()) {
-    stats_cache_.resize(relations_.size());
+  ++generations_[rel];
+  {
+    std::lock_guard<std::mutex> lock(*snapshot_mu_);
+    if (rel < snapshots_.size()) snapshots_[rel].reset();
   }
-  std::shared_ptr<const RelationStats>& slot = stats_cache_[rel];
-  if (slot == nullptr) {
-    slot = std::make_shared<const RelationStats>(
-        ComputeRelationStats(relations_[rel]));
-  }
-  return slot;
-}
-
-void Database::InvalidateCaches(RelId rel) {
-  std::lock_guard<std::mutex> lock(*cache_mu_);
-  if (rel < columns_cache_.size()) columns_cache_[rel].reset();
-  if (rel < stats_cache_.size()) stats_cache_[rel].reset();
-}
-
-void Database::InvalidateAllCaches() {
-  std::lock_guard<std::mutex> lock(*cache_mu_);
-  columns_cache_.clear();
-  stats_cache_.clear();
+  std::shared_ptr<Relation>& current = relations_[rel];
+  // A snapshot someone still holds shares this version: copy on write,
+  // so the holder keeps reading the rows it took.
+  if (current.use_count() > 1) current = std::make_shared<Relation>(*current);
+  return current.get();
 }
 
 AttrId Database::Attr(const std::string& rel_name,

@@ -9,10 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "relational/column.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
-#include "relational/stats.h"
+#include "relational/snapshot.h"
 
 namespace fro {
 
@@ -41,31 +40,32 @@ class Database {
   void SetRows(RelId rel, std::vector<Tuple> rows);
   void AddRow(RelId rel, std::vector<Value> values);
 
+  /// The relation's current version.
   const Relation& relation(RelId rel) const;
+  /// Write access to the relation. The handout counts as a mutation: it
+  /// drops the snapshot, and a snapshot still held elsewhere keeps the
+  /// old rows (the relation is copied first). Write through the pointer
+  /// before the relation's next Snapshot(): later writes would change
+  /// rows that snapshot shares.
   Relation* mutable_relation(RelId rel);
   const Scheme& scheme(RelId rel) const { return relation(rel).scheme(); }
 
   /// Monotone per-relation mutation counter: bumped by SetRows, AddRow,
-  /// and every mutable_relation() handout. Index structures snapshot the
-  /// generation they were built at so stale snapshots are detectable
-  /// (IndexManager refuses to serve them).
+  /// and every mutable_relation() handout. Its one user is the plan
+  /// cache's data stamp (optimizer/feedback.cc), which re-plans a query
+  /// once a relation it reads has changed.
   uint64_t generation(RelId rel) const;
 
-  /// Lazily-columnized mirror of `rel`'s rows, built on first request
-  /// and shared by every scan over this database afterwards — the
-  /// transpose is paid once per relation, not once per plan build.
-  /// Thread-safe against concurrent CachedColumns calls (concurrent
-  /// queries); mutating the relation through this Database's API drops
-  /// the cached mirror, under the usual contract that mutation does not
-  /// race query execution (scans already hold `rows()` by reference).
-  std::shared_ptr<RelationColumns> CachedColumns(RelId rel) const;
-
-  /// `rel`'s per-attribute statistics (ComputeRelationStats), computed
-  /// on first request and kept until the relation next mutates, under
-  /// the same lock and the same invalidation points as CachedColumns.
-  /// A caller holding the returned snapshot keeps it valid across later
-  /// mutations; it just describes the old version.
-  std::shared_ptr<const RelationStats> CachedStats(RelId rel) const;
+  /// The relation's current version with its column mirror, statistics
+  /// and derived structures (relational/snapshot.h), created on first
+  /// request and shared by every query over this version. Every mutation
+  /// path drops it: SetRows, AddRow and mutable_relation drop the
+  /// relation's own, AddRelation (and so CloneRelation) drops every
+  /// relation's. A holder keeps its snapshot valid across later
+  /// mutations; it just describes the old version. Thread-safe against
+  /// concurrent Snapshot calls (concurrent queries), under the usual
+  /// contract that mutation does not race query execution.
+  std::shared_ptr<const RelationSnapshot> Snapshot(RelId rel) const;
 
   const Catalog& catalog() const { return catalog_; }
   Catalog* mutable_catalog() { return &catalog_; }
@@ -78,27 +78,23 @@ class Database {
   RelId Rel(const std::string& name) const;
 
  private:
-  /// Forgets cached column mirrors and statistics: the affected slot on
-  /// row mutation, every slot when relations_ may have reallocated
-  /// (AddRelation).
-  void InvalidateCaches(RelId rel);
-  void InvalidateAllCaches();
+  /// The relation made safe to write in place: drops its snapshot, bumps
+  /// its generation, and copies it if a held snapshot still shares it.
+  Relation* Writable(RelId rel);
 
   Catalog catalog_;
-  std::vector<Relation> relations_;
+  /// Current versions. Shared with the snapshots taken of them, so a
+  /// snapshot outlives the version's replacement.
+  std::vector<std::shared_ptr<Relation>> relations_;
   /// Parallel to relations_: mutation generation per relation.
   std::vector<uint64_t> generations_;
-  /// Parallel to relations_. Mirrors hold `const Relation*` into
-  /// relations_, which stays stable under Database moves (the vector's
-  /// heap buffer moves wholesale) but not under AddRelation
-  /// reallocation — hence InvalidateAllCaches there.
-  mutable std::vector<std::shared_ptr<RelationColumns>> columns_cache_;
-  /// Parallel to relations_; snapshots own their data.
-  mutable std::vector<std::shared_ptr<const RelationStats>> stats_cache_;
-  /// Guards columns_cache_ and stats_cache_. Per Database, so sessions
-  /// that each translate into their own Database never contend on it;
-  /// behind a pointer so Database stays movable.
-  std::unique_ptr<std::mutex> cache_mu_ = std::make_unique<std::mutex>();
+  /// Parallel to relations_ (shorter until first requested): the current
+  /// version's snapshot, or null.
+  mutable std::vector<std::shared_ptr<const RelationSnapshot>> snapshots_;
+  /// Guards snapshots_. Per Database, so sessions that each translate
+  /// into their own Database never contend on it; behind a pointer so
+  /// Database stays movable.
+  std::unique_ptr<std::mutex> snapshot_mu_ = std::make_unique<std::mutex>();
 };
 
 }  // namespace fro

@@ -1,6 +1,7 @@
 #include "relational/index.h"
 
 #include "common/check.h"
+#include "relational/ops.h"
 
 namespace fro {
 
@@ -59,11 +60,31 @@ HashIndex::HashIndex(const Relation& relation,
         has_null = true;
         break;
       }
-      key.push_back(v);
+      key.push_back(NormalizeHashKeyValue(v));
     }
     if (has_null) continue;  // null keys never equi-match
     buckets_[std::move(key)].push_back(i);
+    ++num_rows_;
   }
+}
+
+size_t HashIndex::bytes() const {
+  // Per bucket: the node, its key values and its row list; plus the
+  // bucket array.
+  size_t total = buckets_.bucket_count() * sizeof(void*);
+  for (const auto& [key, rows] : buckets_) {
+    total += sizeof(std::pair<const std::vector<Value>, std::vector<size_t>>) +
+             2 * sizeof(void*) + key.capacity() * sizeof(Value) +
+             rows.capacity() * sizeof(size_t);
+  }
+  return total;
+}
+
+std::shared_ptr<const HashIndex> SnapshotHashIndex(
+    const RelationSnapshot& snapshot, const std::vector<AttrId>& key_attrs) {
+  return snapshot.Derived<HashIndex>("hash-index", key_attrs, [&] {
+    return std::make_shared<const HashIndex>(snapshot.relation(), key_attrs);
+  });
 }
 
 const std::vector<size_t>& HashIndex::Probe(
@@ -73,8 +94,15 @@ const std::vector<size_t>& HashIndex::Probe(
 
 const std::vector<size_t>& HashIndex::Probe(const Value* key,
                                             size_t len) const {
+  bool normalized = true;
   for (size_t i = 0; i < len; ++i) {
     if (key[i].is_null()) return empty_;
+    normalized &= key[i].kind() != Value::Kind::kInt;
+  }
+  if (!normalized) {
+    std::vector<Value> widened(key, key + len);
+    for (Value& v : widened) v = NormalizeHashKeyValue(v);
+    return Probe(widened.data(), len);
   }
   auto it = buckets_.find(KeyView{key, len});
   return it == buckets_.end() ? empty_ : it->second;

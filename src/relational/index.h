@@ -4,32 +4,42 @@
 #define FRO_RELATIONAL_INDEX_H_
 
 #include <cstddef>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "relational/relation.h"
+#include "relational/snapshot.h"
 
 namespace fro {
 
 /// Hash index mapping a key (values of `key_attrs` in scheme order) to the
-/// row indices holding it. Rows whose key contains a null are not indexed:
-/// under SQL semantics a null key can never equi-match, which is exactly
-/// the behaviour joins need.
+/// row indices holding it, under SQL equality: key values are indexed as
+/// NormalizeHashKeyValue makes them (ints widen to double), so 1 and 1.0
+/// are one key. Rows whose key contains a null are not indexed: under SQL
+/// semantics a null key can never equi-match, which is exactly the
+/// behaviour joins need.
 class HashIndex {
  public:
-  /// Builds an index on `relation` (which must outlive the index).
+  /// Builds an index on `relation`; the index keeps copies of the key
+  /// values, not references to the relation.
   HashIndex(const Relation& relation, const std::vector<AttrId>& key_attrs);
 
-  /// Row indices whose key equals `key` (structural equality on non-null
-  /// values). Keys containing nulls return no rows.
+  /// Row indices whose key equals `key` under SQL equality. Keys
+  /// containing nulls return no rows.
   const std::vector<size_t>& Probe(const std::vector<Value>& key) const;
 
   /// Borrowed-key probe: the same lookup over `len` values at `key`
   /// without materializing an owned key vector (heterogeneous unordered
-  /// lookup). Lets callers reuse a scratch buffer across probes.
+  /// lookup). Lets callers reuse a scratch buffer across probes; a key
+  /// already normalized (NormalizeHashKeyValue) is probed without a copy.
   const std::vector<size_t>& Probe(const Value* key, size_t len) const;
 
   size_t num_keys() const { return buckets_.size(); }
+  /// Rows indexed (those with a non-null key).
+  size_t num_rows() const { return num_rows_; }
+  /// Approximate heap footprint.
+  size_t bytes() const;
   const std::vector<AttrId>& key_attrs() const { return key_attrs_; }
 
  private:
@@ -56,7 +66,13 @@ class HashIndex {
   std::unordered_map<std::vector<Value>, std::vector<size_t>, KeyHash, KeyEq>
       buckets_;
   std::vector<size_t> empty_;
+  size_t num_rows_ = 0;
 };
+
+/// The snapshot's HashIndex on `key_attrs` (in this order), built on
+/// first request and kept with the snapshot.
+std::shared_ptr<const HashIndex> SnapshotHashIndex(
+    const RelationSnapshot& snapshot, const std::vector<AttrId>& key_attrs);
 
 }  // namespace fro
 

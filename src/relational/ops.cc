@@ -36,26 +36,6 @@ Value NormalizeHashKeyValue(const Value& v) {
   return v;
 }
 
-Relation NormalizeOnKeyColumns(const Relation& rel,
-                               const std::vector<AttrId>& key_attrs) {
-  std::vector<int> positions;
-  positions.reserve(key_attrs.size());
-  for (AttrId attr : key_attrs) {
-    positions.push_back(rel.scheme().IndexOf(attr));
-  }
-  Relation out(rel.scheme());
-  out.Reserve(rel.NumRows());
-  for (const Tuple& row : rel.rows()) {
-    std::vector<Value> values = row.values();
-    for (int pos : positions) {
-      values[static_cast<size_t>(pos)] =
-          NormalizeHashKeyValue(values[static_cast<size_t>(pos)]);
-    }
-    out.AddRow(Tuple(std::move(values)));
-  }
-  return out;
-}
-
 namespace {
 
 // Internal match-driving core shared by join / outerjoin / antijoin /
@@ -72,27 +52,14 @@ class Matcher {
         stats_(stats),
         out_scheme_(left.scheme().Concat(right.scheme())) {
     EquiKeys keys = ExtractEquiKeys(pred, left.scheme(), right.scheme());
-    // A prebuilt index is usable when every one of its key columns has an
-    // equi-conjunct partner on the left (probe keys must cover the
-    // index's full key, in its order).
+    // A prebuilt index serves when it is keyed on exactly the
+    // predicate's equi-key columns, in the order the probe keys come.
     if (prebuilt != nullptr && keys.Usable() &&
-        algo != JoinAlgo::kNestedLoop) {
-      EquiKeys aligned;
-      for (AttrId right_attr : prebuilt->key_attrs()) {
-        for (size_t i = 0; i < keys.right.size(); ++i) {
-          if (keys.right[i] == right_attr) {
-            aligned.left.push_back(keys.left[i]);
-            aligned.right.push_back(right_attr);
-            break;
-          }
-        }
-      }
-      if (aligned.right.size() == prebuilt->key_attrs().size()) {
-        use_hash_ = true;
-        keys_ = std::move(aligned);
-        index_ = prebuilt;
-        return;
-      }
+        algo != JoinAlgo::kNestedLoop && prebuilt->key_attrs() == keys.right) {
+      use_hash_ = true;
+      keys_ = std::move(keys);
+      index_ = prebuilt;
+      return;
     }
     use_hash_ = algo == JoinAlgo::kHash ||
                 (algo == JoinAlgo::kAuto && keys.Usable());
@@ -102,9 +69,7 @@ class Matcher {
     }
     if (use_hash_) {
       keys_ = std::move(keys);
-      normalized_right_ = NormalizeOnKeyColumns(right_, keys_.right);
-      owned_index_ =
-          std::make_unique<HashIndex>(normalized_right_, keys_.right);
+      owned_index_ = std::make_unique<HashIndex>(right_, keys_.right);
       index_ = owned_index_.get();
     }
   }
@@ -175,7 +140,6 @@ class Matcher {
   Scheme out_scheme_;
   bool use_hash_ = false;
   EquiKeys keys_;
-  Relation normalized_right_;
   std::unique_ptr<HashIndex> owned_index_;
   const HashIndex* index_ = nullptr;
 };

@@ -52,15 +52,11 @@ EquiKeys ExtractEquiKeys(const PredicatePtr& pred, const Scheme& left,
 /// equality across int/double (SqlEq(1, 1.0) is true).
 Value NormalizeHashKeyValue(const Value& v);
 
-/// A copy of `rel` with `key_attrs` columns normalized for hashing; used
-/// to build indexes whose probes agree with SQL equality.
-Relation NormalizeOnKeyColumns(const Relation& rel,
-                               const std::vector<AttrId>& key_attrs);
-
 /// JN[p](L, R): concatenations of matching tuples (paper Section 1.2).
-/// With `prebuilt_right_index` (an index over R's key columns, e.g. from
-/// an IndexManager), the hash path probes it instead of building an
-/// ad-hoc table; the index's row numbering must match R.
+/// With `prebuilt_right_index` (an index over R on the predicate's
+/// equi-key columns in ExtractEquiKeys order, e.g. a snapshot's
+/// SnapshotHashIndex), the hash path probes it instead of
+/// building an ad-hoc table; the index's row numbering must match R.
 Relation Join(const Relation& left, const Relation& right,
               const PredicatePtr& pred, JoinAlgo algo, KernelStats* stats,
               const HashIndex* prebuilt_right_index = nullptr);

@@ -1,6 +1,6 @@
 // Per-attribute statistics of one relation, in the System R tradition:
 // distinct-value counts, null fractions and equi-width histograms over
-// numeric values. Database::CachedStats computes them once per relation
+// numeric values. RelationSnapshot::stats computes them once per relation
 // version; the optimizer's CardinalityEstimator reads them.
 
 #ifndef FRO_RELATIONAL_STATS_H_

@@ -297,22 +297,25 @@ std::vector<BatchIterator*> BatchLeapfrogIterator::children() const {
 void BatchLeapfrogIterator::OpenImpl() {
   build_reads_ = 0;
   tries_.clear();
+  operands_.assign(children_.size(), DrainedRows());
   std::vector<const TrieIndex*> raw;
   raw.reserve(children_.size());
-  TupleBatch scratch(batch_capacity_);
   for (size_t c = 0; c < children_.size(); ++c) {
-    BatchIterator* child = children_[c].get();
-    child->Open();
-    Relation materialized(child->scheme());
-    while (child->NextBatch(&scratch)) {
-      for (size_t i = 0; i < scratch.size(); ++i) {
-        materialized.AddRow(scratch.selected(i));
-      }
+    DrainedRows& operand = operands_[c];
+    operand = DrainBuildInput(children_[c].get(), batch_capacity_);
+    build_reads_ += operand.rows().NumRows();
+    const std::vector<AttrId>& levels = spec_.child_levels[c];
+    if (operand.snapshot != nullptr) {
+      // A whole base relation: its trie on these levels is built once
+      // per relation version and shared.
+      const RelationSnapshot& snapshot = *operand.snapshot;
+      tries_.push_back(snapshot.Derived<TrieIndex>("trie", levels, [&] {
+        return std::make_shared<const TrieIndex>(snapshot.relation(), levels);
+      }));
+    } else {
+      tries_.push_back(
+          std::make_shared<const TrieIndex>(operand.owned, levels));
     }
-    child->Close();
-    build_reads_ += materialized.NumRows();
-    tries_.push_back(
-        std::make_unique<TrieIndex>(materialized, spec_.child_levels[c]));
     raw.push_back(tries_.back().get());
   }
   core_.Start(spec_, std::move(raw), out_scheme_);
@@ -329,7 +332,10 @@ bool BatchLeapfrogIterator::NextBatchImpl(TupleBatch* out) {
   return out->size() > 0;
 }
 
-void BatchLeapfrogIterator::CloseImpl() {}
+void BatchLeapfrogIterator::CloseImpl() {
+  tries_.clear();
+  operands_.clear();
+}
 
 void BatchLeapfrogIterator::SyncStats() {
   ExecStats& stats = mutable_stats();

@@ -16,10 +16,13 @@
 // semantics and covers non-equality conjuncts.
 //
 // LeapfrogCore does the search; the batch operator drains the operands,
-// builds the tries, and drives it. Counter mapping: `probes` counts
-// every cursor binary search (leapfrog seeks and steps alike),
-// `predicate_evals` the residual evaluations, `left_reads` the rows
-// drained from the operands while building tries.
+// builds the tries, and drives it. A bare base-relation operand's trie
+// comes from the relation's snapshot, built once per relation version;
+// the operand is still drained, so the counters are those of a fresh
+// build. Counter mapping: `probes` counts every cursor binary search
+// (leapfrog seeks and steps alike), `predicate_evals` the residual
+// evaluations, `left_reads` the rows drained from the operands while
+// building tries.
 
 #ifndef FRO_WCOJ_LEAPFROG_H_
 #define FRO_WCOJ_LEAPFROG_H_
@@ -30,6 +33,7 @@
 
 #include "algebra/expr.h"
 #include "exec/batch_iterator.h"
+#include "exec/join_build.h"
 #include "relational/predicate.h"
 #include "wcoj/trie_index.h"
 
@@ -113,10 +117,11 @@ class LeapfrogCore {
   uint64_t evals_ = 0;
 };
 
-/// Leapfrog triejoin operator. Open() drains every child pipeline into a
-/// materialized relation, builds one trie per operand, and runs the
-/// core; the children may be arbitrary subplans (scans, filters, even
-/// outerjoin shells under the fuzzer's forced-multiway mode).
+/// Leapfrog triejoin operator. Open() drains every child pipeline, takes
+/// one trie per operand (the snapshot's for a bare base relation, else
+/// one over the drained rows), and runs the core; the children may be
+/// arbitrary subplans (scans, filters, even outerjoin shells under the
+/// fuzzer's forced-multiway mode).
 class BatchLeapfrogIterator : public BatchIterator {
  public:
   BatchLeapfrogIterator(MultiwaySpec spec,
@@ -139,7 +144,8 @@ class BatchLeapfrogIterator : public BatchIterator {
   std::vector<BatchIteratorPtr> children_;
   Scheme out_scheme_;
   size_t batch_capacity_;
-  std::vector<std::unique_ptr<TrieIndex>> tries_;
+  std::vector<DrainedRows> operands_;  // the rows each trie indexes
+  std::vector<std::shared_ptr<const TrieIndex>> tries_;
   LeapfrogCore core_;
   uint64_t build_reads_ = 0;
 };

@@ -10,8 +10,7 @@ namespace fro {
 
 TrieIndex::TrieIndex(const Relation& source,
                      std::vector<AttrId> level_attrs)
-    : level_attrs_(std::move(level_attrs)) {
-  source_rows_ = source.NumRows();
+    : source_(&source), level_attrs_(std::move(level_attrs)) {
   std::vector<int> key_pos;
   key_pos.reserve(level_attrs_.size());
   for (AttrId attr : level_attrs_) {
@@ -55,34 +54,23 @@ TrieIndex::TrieIndex(const Relation& source,
                      return false;
                    });
 
-  rows_ = Relation(source.scheme());
-  rows_.Reserve(perm.size());
+  order_.reserve(perm.size());
   keys_.assign(level_attrs_.size(), {});
   for (auto& level : keys_) level.reserve(perm.size());
   for (uint32_t p : perm) {
-    rows_.AddRow(source.row(order[p]));
+    order_.push_back(order[p]);
     for (size_t l = 0; l < keys_.size(); ++l) {
       keys_[l].push_back(std::move(raw[l][p]));
     }
   }
 }
 
-const TrieIndex* BuildTrieIndex(const Database& db, RelId rel,
-                                const std::vector<AttrId>& level_attrs,
-                                IndexManager* cache,
-                                std::unique_ptr<TrieIndex>* owned) {
-  if (cache != nullptr) {
-    if (const TrieIndexBase* hit = cache->FindTrie(db, rel, level_attrs)) {
-      return static_cast<const TrieIndex*>(hit);
-    }
-    auto built = std::make_unique<TrieIndex>(db.relation(rel), level_attrs);
-    const TrieIndex* out = built.get();
-    cache->AdoptTrie(db, rel, level_attrs, std::move(built));
-    return out;
+size_t TrieIndex::bytes() const {
+  size_t total = order_.capacity() * sizeof(uint32_t);
+  for (const std::vector<Value>& level : keys_) {
+    total += level.capacity() * sizeof(Value);
   }
-  FRO_CHECK(owned != nullptr);
-  *owned = std::make_unique<TrieIndex>(db.relation(rel), level_attrs);
-  return owned->get();
+  return total;
 }
 
 void TrieCursor::Reset() {

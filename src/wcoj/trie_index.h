@@ -1,6 +1,6 @@
 // Sorted multi-level column indexes ("tries") and cursors for the
 // leapfrog triejoin (Veldhuizen). A TrieIndex over key attributes
-// (a1, ..., ak) stores the relation's rows sorted lexicographically by
+// (a1, ..., ak) orders the relation's row ids lexicographically by
 // the *normalized* key values (int widened to double, exactly like the
 // hash-join key normalization in relational/ops.h), so structural value
 // order and equality agree with SQL equality on keys. Rows with a null
@@ -19,53 +19,46 @@
 #include <utility>
 #include <vector>
 
-#include "relational/database.h"
-#include "relational/index_manager.h"
 #include "relational/relation.h"
 
 namespace fro {
 
-/// Immutable sorted index over one relation's rows. Emitted tuples keep
-/// their ORIGINAL values (normalization is confined to key comparison),
-/// so 1 and 1.0 join but are output unchanged.
-class TrieIndex : public TrieIndexBase {
+/// Immutable sorted index over one relation's rows. It keeps sorted row
+/// ids into its source, not copies of the rows, and emitted tuples are
+/// the source's ORIGINAL values (normalization is confined to key
+/// comparison), so 1 and 1.0 join but are output unchanged.
+class TrieIndex {
  public:
-  /// Builds from any relation (base or materialized intermediate).
+  /// Indexes `source` (a base relation's snapshot rows or an operator's
+  /// drained rows), which must outlive the index unchanged.
   /// `level_attrs` must be distinct attributes of the relation's scheme;
   /// it may be empty, in which case the index is a single flat range.
   TrieIndex(const Relation& source, std::vector<AttrId> level_attrs);
 
-  size_t num_rows() const override { return rows_.NumRows(); }
+  size_t num_rows() const { return order_.size(); }
   size_t num_levels() const { return level_attrs_.size(); }
   const std::vector<AttrId>& level_attrs() const { return level_attrs_; }
-  const Scheme& scheme() const { return rows_.scheme(); }
+  const Scheme& scheme() const { return source_->scheme(); }
 
   /// Sorted row `i` with original values.
-  const Tuple& row(size_t i) const { return rows_.row(i); }
+  const Tuple& row(size_t i) const { return source_->row(order_[i]); }
 
   /// Normalized key of sorted row `i` at `level`.
   const Value& key(size_t level, size_t i) const { return keys_[level][i]; }
 
-  /// Rows scanned from the source while building (the trie-build read
-  /// cost charged to ExecStats).
-  size_t source_rows() const { return source_rows_; }
+  /// Rows of the source, null keys included.
+  size_t source_rows() const { return source_->NumRows(); }
+
+  /// Approximate heap footprint (row ids and keys; the rows are the
+  /// source's).
+  size_t bytes() const;
 
  private:
-  Relation rows_;                    // sorted; original values
+  const Relation* source_;
   std::vector<AttrId> level_attrs_;  // level order
+  std::vector<uint32_t> order_;      // source row id per sorted row
   std::vector<std::vector<Value>> keys_;  // [level][sorted row] normalized
-  size_t source_rows_ = 0;
 };
-
-/// Builds a trie for `(rel, level_attrs)` through `cache` (may be null):
-/// a fresh cached trie is returned directly; otherwise a new one is
-/// built, adopted into the cache (stamped with the relation's current
-/// generation), and returned. The returned pointer is owned by the cache
-/// when one was supplied, by `*owned` otherwise.
-const TrieIndex* BuildTrieIndex(const Database& db, RelId rel,
-                                const std::vector<AttrId>& level_attrs,
-                                IndexManager* cache,
-                                std::unique_ptr<TrieIndex>* owned);
 
 /// Cursor over a TrieIndex: a stack of nested row ranges, one per open
 /// level. Depth -1 (after Reset) is the root covering every row.

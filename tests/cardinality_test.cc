@@ -117,8 +117,8 @@ TEST_F(CardinalityTest, EmptyRelationSafe) {
 
 // --- cached statistics -------------------------------------------------
 
-// The estimator's constructor scan before statistics moved to
-// Database::CachedStats, kept verbatim as the reference the cached
+// The estimator's constructor scan before statistics moved to the
+// relation snapshot (Database::Snapshot), kept verbatim as the reference the cached
 // statistics must equal bit for bit.
 std::vector<AttrStats> FullScanStats(const Relation& relation) {
   std::vector<AttrStats> out;
@@ -207,21 +207,22 @@ TEST(CachedStatsTest, EqualsFullScanOnRandomRelations) {
     }
   }
   for (RelId rel : rels) {
-    std::shared_ptr<const RelationStats> cached = db.CachedStats(rel);
+    std::shared_ptr<const RelationSnapshot> snapshot = db.Snapshot(rel);
+    const RelationStats& cached = snapshot->stats();
     std::vector<AttrStats> want = FullScanStats(db.relation(rel));
-    ASSERT_EQ(cached->size(), want.size());
+    ASSERT_EQ(cached.size(), want.size());
     CardinalityEstimator est(db);
     for (size_t c = 0; c < want.size(); ++c) {
       const std::string where = db.catalog().AttrName(db.scheme(rel).col(c));
-      ExpectSameStats((*cached)[c], want[c], where);
+      ExpectSameStats(cached[c], want[c], where);
       ExpectSameStats(est.StatsOf(db.scheme(rel).col(c)), want[c], where);
     }
   }
 }
 
 TEST_F(CardinalityTest, StatsAreCachedPerRelationVersion) {
-  std::shared_ptr<const RelationStats> first = db_.CachedStats(r_);
-  EXPECT_EQ(db_.CachedStats(r_), first);  // no mutation, same snapshot
+  std::shared_ptr<const RelationSnapshot> first = db_.Snapshot(r_);
+  EXPECT_EQ(db_.Snapshot(r_), first);  // no mutation, same snapshot
 
   // Each mutation path drops the snapshot; a new estimator sees the new
   // version, while one that already read the old version keeps reading
@@ -231,7 +232,7 @@ TEST_F(CardinalityTest, StatsAreCachedPerRelationVersion) {
   EXPECT_EQ(old_a.distinct, 4.0);
 
   db_.AddRow(r_, {Value::Int(5), Value::Int(30)});
-  EXPECT_NE(db_.CachedStats(r_), first);
+  EXPECT_NE(db_.Snapshot(r_), first);
   EXPECT_EQ(CardinalityEstimator(db_).StatsOf(a_).distinct, 5.0);
   EXPECT_EQ(CardinalityEstimator(db_).StatsOf(b_).distinct, 3.0);
 
@@ -302,7 +303,7 @@ TEST(CachedStatsTest, ConcurrentOptimizeSharesFirstUse) {
     EXPECT_EQ(plans[i], serial->plan->hash()) << "thread " << i;
     EXPECT_EQ(costs[i], serial->cost) << "thread " << i;
   }
-  EXPECT_EQ(db.CachedStats(r), db.CachedStats(r));
+  EXPECT_EQ(db.Snapshot(r), db.Snapshot(r));
 }
 
 // --- feedback-driven gate flips ---------------------------------------

@@ -158,12 +158,12 @@ TEST(ColumnBatchTest, SingleRowSelection) {
   EXPECT_EQ(batch.size(), 0u);
 }
 
-TEST(ColumnBatchTest, ViewWithRelationColumnsIsOffsetRead) {
+TEST(ColumnBatchTest, ViewWithSnapshotColumnsIsOffsetRead) {
   Relation rel(Scheme({100, 101}));
   for (int i = 0; i < 10; ++i) {
     rel.AddRow({Value::Int(i), i % 3 == 0 ? Value::Null() : Value::Int(-i)});
   }
-  RelationColumns cols(&rel);
+  RelationSnapshot cols(&rel);
 
   ColumnBatch batch(4);
   batch.SetView(&rel.rows()[6], 3, &cols, 6);

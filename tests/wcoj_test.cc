@@ -1,7 +1,6 @@
 // The wcoj subsystem: trie indexes and cursors, the leapfrog triejoin
 // against the reference evaluator (nulls, duplicates, mixed numeric
-// types), engine stats parity, trie caching through the IndexManager,
-// the optimizer-side variable order and core collapse, and the AGM
+// types), engine stats parity, the optimizer-side variable order and core collapse, and the AGM
 // claim over exact work counters.
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/wcoj_rewrite.h"
 #include "plan_work.h"
-#include "relational/index_manager.h"
 #include "testing/datagen.h"
 #include "wcoj/leapfrog.h"
 #include "wcoj/trie_index.h"
@@ -86,30 +84,6 @@ TEST(TrieIndexTest, CursorWalksDistinctKeysAndSeeks) {
   cursor.Next();
   EXPECT_TRUE(cursor.AtEnd());
   EXPECT_GT(cursor.seeks(), 0u);
-}
-
-TEST(TrieIndexTest, BuildTrieIndexCachesUntilMutation) {
-  Database db;
-  RelId r = *db.AddRelation("R", {"a"});
-  db.AddRow(r, {Value::Int(1)});
-  std::vector<AttrId> levels = {db.Attr("R", "a")};
-
-  IndexManager cache;
-  std::unique_ptr<TrieIndex> owned;
-  const TrieIndex* first = BuildTrieIndex(db, r, levels, &cache, &owned);
-  EXPECT_EQ(owned, nullptr);
-  const TrieIndex* again = BuildTrieIndex(db, r, levels, &cache, &owned);
-  EXPECT_EQ(first, again);
-
-  db.AddRow(r, {Value::Int(2)});  // bumps the generation
-  const TrieIndex* rebuilt = BuildTrieIndex(db, r, levels, &cache, &owned);
-  EXPECT_NE(rebuilt, first);
-  EXPECT_EQ(rebuilt->num_rows(), 2u);
-
-  // Without a cache the caller owns the trie.
-  const TrieIndex* uncached = BuildTrieIndex(db, r, levels, nullptr, &owned);
-  ASSERT_NE(owned, nullptr);
-  EXPECT_EQ(uncached, owned.get());
 }
 
 // --- Leapfrog vs the reference evaluator -------------------------------
