@@ -13,8 +13,9 @@
 //   \connect host:port         switch to remote mode against a fro_serve
 //   \disconnect                back to local execution
 //   \cachestats                plan-cache counters (local or remote)
-//   \indexes [<query>]         run the query, then list the structures its
-//                              execution keeps in the relation snapshots
+//   \indexes [<query>]         run the query, then list the shared
+//                              flattened relations it read and the
+//                              structures their snapshots keep
 //   \help                      this text
 //
 // In remote mode plain queries, \explain, and \analyze travel over the
@@ -75,8 +76,9 @@ void PrintHelp() {
       "  \\cachestats        plan-cache counters (local or remote)\n"
       "  \\feedback          cardinality-feedback store: corrections,\n"
       "                     Q-error histogram, re-plan counters\n"
-      "  \\indexes [query]   run the query, then list the join tables and\n"
-      "                     tries its relation snapshots keep (always local)\n"
+      "  \\indexes [query]   run the query, then list the flattened relations\n"
+      "                     it read and the join tables and tries they keep,\n"
+      "                     shared by every query (always local)\n"
       "  \\help              this text\n"
       "schema: EMPLOYEE(D#, Rank, ChildName*), REPORT(Title, Cost),\n"
       "        DEPARTMENT(D#, Location, ->Manager, ->Secretary, ->Audit)\n");
@@ -194,17 +196,42 @@ void RunAnalyze(const NestedDb& db, const std::string& query) {
       analyzed.max_q_error);
 }
 
+/// What the NestedDb's current flattened relations have built so far.
+struct FlattenedBuilds {
+  size_t relations = 0;
+  uint64_t columns = 0;
+  uint64_t structures = 0;
+
+  explicit FlattenedBuilds(const NestedDb& db) {
+    for (const auto& flat : db.FlattenedRelations()) {
+      ++relations;
+      columns += flat->snapshot->column_builds();
+      structures += flat->snapshot->builds();
+    }
+  }
+};
+
 void RunIndexes(const NestedDb& db, const std::string& query) {
-  // The last run owns the database whose snapshots keep the structures,
+  // The structures live in the NestedDb's shared flattened relations;
+  // the last run's database names the tuple variables that read them,
   // so a bare \indexes re-lists them without running anything.
   static std::optional<QueryRunResult> last;
   if (!query.empty()) {
+    const FlattenedBuilds before(db);
     Result<QueryRunResult> run = RunQuery(db, query, LocalRunOptions());
     if (!run.ok()) {
       std::printf("error: %s\n", run.status().ToString().c_str());
       return;
     }
     last.emplace(std::move(*run));
+    const FlattenedBuilds after(db);
+    std::printf(
+        "this run built %zu flattened relations, %llu columns and %llu "
+        "structures\n",
+        after.relations - before.relations,
+        static_cast<unsigned long long>(after.columns - before.columns),
+        static_cast<unsigned long long>(after.structures -
+                                        before.structures));
   }
   if (!last.has_value()) {
     std::printf("no query run yet; usage: \\indexes <query>\n");
@@ -212,23 +239,28 @@ void RunIndexes(const NestedDb& db, const std::string& query) {
   }
   const Database& rel_db = *last->translation.db;
   const Catalog& catalog = rel_db.catalog();
+  std::printf("  %-10s %-34s %8s %10s\n", "kind", "keys", "rows", "bytes");
   bool any = false;
-  for (RelId rel = 0; rel < rel_db.num_relations(); ++rel) {
-    for (const SnapshotStructureInfo& info :
-         rel_db.Snapshot(rel)->Structures()) {
-      if (!any) {
-        std::printf("%-24s %-10s %-36s %8s %10s\n", "relation", "kind",
-                    "keys", "rows", "bytes");
-        any = true;
-      }
+  for (const std::shared_ptr<const FlatRelation>& flat :
+       db.FlattenedRelations()) {
+    std::string variables;
+    for (RelId rel = 0; rel < rel_db.num_relations(); ++rel) {
+      if (!rel_db.Snapshot(rel)->SharesBodyWith(*flat->snapshot)) continue;
+      if (!variables.empty()) variables += ", ";
+      variables += catalog.RelationName(rel);
+    }
+    if (variables.empty()) continue;  // the last query did not read it
+    std::printf("%s (%zu rows), read as %s\n", flat->name.c_str(),
+                flat->snapshot->relation().NumRows(), variables.c_str());
+    for (const SnapshotStructureInfo& info : flat->snapshot->Structures()) {
       std::string keys;
-      for (AttrId a : info.keys) {
+      for (size_t pos : info.key_positions) {
         if (!keys.empty()) keys += ",";
-        keys += catalog.AttrName(a);
+        keys += flat->columns[pos];
       }
-      std::printf("%-24s %-10s %-36s %8zu %10zu\n",
-                  catalog.RelationName(rel).c_str(), info.kind.c_str(),
+      std::printf("  %-10s %-34s %8zu %10zu\n", info.kind.c_str(),
                   keys.c_str(), info.rows, info.bytes);
+      any = true;
     }
   }
   if (!any) std::printf("the last query kept no join table or trie\n");

@@ -9,12 +9,12 @@
 namespace fro {
 
 Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
-  Relation out(iterator->scheme());
+  std::vector<Tuple> rows;
   iterator->Open();
   TupleBatch batch;
   while (iterator->NextBatch(&batch)) {
     const size_t n = batch.size();
-    for (size_t i = 0; i < n; ++i) out.AddRow(batch.selected(i));
+    for (size_t i = 0; i < n; ++i) rows.push_back(batch.selected(i));
   }
   iterator->Close();
   if (control != nullptr) {
@@ -25,7 +25,7 @@ Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
     control->ShouldStopBatch();
     FRO_RETURN_IF_ERROR(control->status());
   }
-  return out;
+  return Relation(iterator->scheme(), std::move(rows));
 }
 
 Relation DrainBatches(BatchIterator* iterator) {

@@ -36,7 +36,7 @@ DrainedRows DrainBuildInput(BatchIterator* child, size_t batch_capacity) {
   // batch fits that pattern the result references the snapshot instead
   // of copying every tuple. The child is drained normally either way.
   DrainedRows out;
-  out.owned = Relation(child->scheme());
+  std::vector<Tuple> owned;
   child->Open();
   TupleBatch scratch(batch_capacity);
   const RelationSnapshot* shared = nullptr;
@@ -44,9 +44,10 @@ DrainedRows DrainBuildInput(BatchIterator* child, size_t batch_capacity) {
   bool zero_copy = true;
   // Copies the zero-copy prefix once the pattern breaks.
   auto backfill = [&] {
-    for (size_t i = 0; i < shared_end; ++i) {
-      out.owned.AddRow(shared->relation().row(i));
-    }
+    if (shared == nullptr) return;
+    const std::vector<Tuple>& rows = shared->relation().rows();
+    owned.insert(owned.end(), rows.begin(),
+                 rows.begin() + static_cast<std::ptrdiff_t>(shared_end));
   };
   while (child->NextBatch(&scratch)) {
     const size_t n = scratch.size();
@@ -63,32 +64,31 @@ DrainedRows DrainBuildInput(BatchIterator* child, size_t batch_capacity) {
       zero_copy = false;
       backfill();
     }
-    for (size_t i = 0; i < n; ++i) out.owned.AddRow(scratch.selected(i));
+    for (size_t i = 0; i < n; ++i) owned.push_back(scratch.selected(i));
   }
   child->Close();
   if (zero_copy && shared != nullptr) {
     if (shared_end == shared->relation().NumRows()) {
       out.snapshot = shared;
-      out.owned = Relation();
-    } else {
-      backfill();  // contiguous views but not the whole relation
+      return out;
     }
+    backfill();  // contiguous views but not the whole relation
   }
+  out.owned = Relation(child->scheme(), std::move(owned));
   return out;
 }
 
 JoinKeyIndex::JoinKeyIndex(const Relation& rows,
-                           const std::vector<AttrId>& keys,
+                           const std::vector<size_t>& key_positions,
                            const ColumnVector* key_column)
     : num_rows_(rows.NumRows()) {
-  FRO_CHECK(!keys.empty());
+  FRO_CHECK(!key_positions.empty());
   // Single numeric key: build the flat probe table instead of the
   // generic HashIndex. Null keys are skipped (they never equi-match); a
   // non-numeric key value anywhere on the build side falls back to the
   // generic path, which handles heterogeneous keys.
-  if (keys.size() == 1 && num_rows_ < (size_t{1} << 30)) {
-    const int build_pos = rows.scheme().IndexOf(keys[0]);
-    FRO_CHECK_GE(build_pos, 0);
+  if (key_positions.size() == 1 && num_rows_ < (size_t{1} << 30)) {
+    const size_t build_pos = key_positions[0];
     const size_t n = num_rows_;
     size_t cap = 16;
     while (cap < n * 2) cap <<= 1;
@@ -122,7 +122,7 @@ JoinKeyIndex::JoinKeyIndex(const Relation& rows,
         if (key_column->is_null(i)) continue;  // kEmpty: all null
         key = NormalizedNumericKey(*key_column, i);
       } else {
-        const Value& v = rows.row(i).value(static_cast<size_t>(build_pos));
+        const Value& v = rows.row(i).value(build_pos);
         if (v.is_null()) continue;
         const std::optional<double> k = NumericKey(v);
         if (!k.has_value()) {
@@ -151,7 +151,7 @@ JoinKeyIndex::JoinKeyIndex(const Relation& rows,
     fast_buckets_ = {};
     fast_next_ = {};
     fast_bloom_ = {};
-    hash_ = std::make_unique<HashIndex>(rows, keys);
+    hash_ = std::make_unique<HashIndex>(rows, key_positions);
   }
 }
 
@@ -169,11 +169,14 @@ JoinBuildSide::JoinBuildSide(Scheme scheme, std::vector<AttrId> keys)
 void JoinBuildSide::Build(BatchIterator* child) {
   Release();
   rows_ = DrainBuildInput(child);
+  row_data_ = rows_.rows().rows().data();
+  num_rows_ = rows_.rows().NumRows();
+  const std::vector<size_t> positions = scheme_.PositionsOf(keys_);
   if (rows_.snapshot == nullptr) {
     owned_columns_ = std::make_unique<RelationSnapshot>(&rows_.owned);
     columns_ = owned_columns_.get();
     if (!keys_.empty()) {
-      index_ = std::make_shared<const JoinKeyIndex>(rows_.owned, keys_,
+      index_ = std::make_shared<const JoinKeyIndex>(rows_.owned, positions,
                                                     /*key_column=*/nullptr);
     }
     return;
@@ -183,13 +186,11 @@ void JoinBuildSide::Build(BatchIterator* child) {
   const RelationSnapshot& snapshot = *rows_.snapshot;
   columns_ = &snapshot;
   if (keys_.empty()) return;
-  index_ = snapshot.Derived<JoinKeyIndex>("join-table", keys_, [&] {
+  index_ = snapshot.Derived<JoinKeyIndex>("join-table", positions, [&] {
     const ColumnVector* key_column =
-        keys_.size() == 1 ? &snapshot.Column(static_cast<size_t>(
-                                scheme_.IndexOf(keys_[0])))
-                          : nullptr;
-    return std::make_shared<const JoinKeyIndex>(snapshot.relation(), keys_,
-                                                key_column);
+        positions.size() == 1 ? &snapshot.Column(positions[0]) : nullptr;
+    return std::make_shared<const JoinKeyIndex>(snapshot.relation(),
+                                                positions, key_column);
   });
 }
 
@@ -198,6 +199,8 @@ void JoinBuildSide::Release() {
   // owned_columns_ points into rows_; drop it first.
   columns_ = nullptr;
   owned_columns_.reset();
+  row_data_ = nullptr;
+  num_rows_ = 0;
   rows_ = DrainedRows();
 }
 

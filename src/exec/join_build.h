@@ -9,8 +9,9 @@
 // threads may probe one side concurrently once Build() has returned.
 //
 // When the build child is a bare base-relation scan, the key index is
-// the relation snapshot's (relational/snapshot.h): built by the first
-// query over that relation version and reused by every later one. A
+// the relation snapshot's (relational/snapshot.h), keyed by column
+// position: built by the first query over that relation version, under
+// whichever renaming it reads, and reused by every later one. A
 // reused build counts exactly like a fresh one: the child is still
 // drained, so its reads, the join's counters, EXPLAIN ANALYZE and the
 // feedback actuals are the same; only the table construction is
@@ -88,10 +89,10 @@ DrainedRows DrainBuildInput(
 /// a flat table with a Bloom prefilter; otherwise through a HashIndex.
 class JoinKeyIndex {
  public:
-  /// Indexes `rows` on `keys` (attributes of its scheme). `key_column`,
+  /// Indexes `rows` on the columns at `key_positions`. `key_column`,
   /// when given, is the single key's column over the same rows; a typed
   /// one lets the flat table read keys densely.
-  JoinKeyIndex(const Relation& rows, const std::vector<AttrId>& keys,
+  JoinKeyIndex(const Relation& rows, const std::vector<size_t>& key_positions,
                const ColumnVector* key_column);
 
   bool flat() const { return flat_; }
@@ -163,8 +164,8 @@ class JoinBuildSide {
 
   const Scheme& scheme() const { return scheme_; }
   const std::vector<AttrId>& keys() const { return keys_; }
-  size_t NumRows() const { return rows_.rows().NumRows(); }
-  const Tuple& row(size_t i) const { return rows_.rows().row(i); }
+  size_t NumRows() const { return num_rows_; }
+  const Tuple& row(size_t i) const { return row_data_[i]; }
 
   /// Columnized mirror of the rows: the scanned relation's snapshot
   /// after a zero-copy drain, else a private one filled lazily (and
@@ -201,6 +202,8 @@ class JoinBuildSide {
   Scheme scheme_;
   std::vector<AttrId> keys_;
   DrainedRows rows_;
+  const Tuple* row_data_ = nullptr;  // rows_'s storage, for probes
+  size_t num_rows_ = 0;
   std::unique_ptr<RelationSnapshot> owned_columns_;  // over rows_.owned
   const RelationSnapshot* columns_ = nullptr;
   std::shared_ptr<const JoinKeyIndex> index_;  // null without keys

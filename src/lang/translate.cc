@@ -30,6 +30,19 @@ class Translator {
       : nested_(nested), ast_(ast), db_(std::make_unique<Database>()) {}
 
   Result<TranslationResult> Run() {
+    // The tuple variables: each item's alias if given, else its type
+    // name. Reusing a type requires distinct aliases ("several copies of
+    // the same relation with renamed attributes", Section 1.2). All are
+    // reserved before any chain step picks a name.
+    for (const FromItem& item : ast_.from) {
+      const std::string& var =
+          item.alias.empty() ? item.type_name : item.alias;
+      if (!from_vars_.insert(var).second) {
+        return InvalidArgument(
+            "tuple variable used twice in the From list: " + var +
+            " (give each use a distinct alias)");
+      }
+    }
     for (const FromItem& item : ast_.from) {
       FRO_RETURN_IF_ERROR(TranslateFromItem(item));
     }
@@ -38,58 +51,25 @@ class Translator {
   }
 
  private:
-  // Registers a relation for entity type `type` under `rel_name`, with
-  // columns @oid + scalars + `<field>@ref` per entity-valued field, and
-  // fills it from the entity table.
-  Result<RelId> MaterializeEntityRelation(const EntityType& type,
-                                          const std::string& rel_name) {
-    std::vector<std::string> columns;
-    columns.push_back("@oid");
-    for (const FieldDef& field : type.fields()) {
-      switch (field.kind) {
-        case FieldDef::Kind::kScalar:
-          columns.push_back(field.name);
-          break;
-        case FieldDef::Kind::kEntityRef:
-          columns.push_back(field.name + "@ref");
-          break;
-        case FieldDef::Kind::kSetValued:
-          break;  // repeating fields live in their own virtual relation
-      }
-    }
-    FRO_ASSIGN_OR_RETURN(RelId rel, db_->AddRelation(rel_name, columns));
-    for (const EntityRow& row : nested_.Rows(type.name())) {
-      std::vector<Value> values;
-      values.push_back(Value::Int(row.oid));
-      for (size_t f = 0; f < type.fields().size(); ++f) {
-        if (type.fields()[f].kind == FieldDef::Kind::kSetValued) continue;
-        values.push_back(row.fields[f].scalar);
-      }
-      db_->AddRow(rel, std::move(values));
-    }
-    return rel;
+  // Registers tuple variable `rel_name` as a renaming of `type`'s
+  // flattened relation (its entity relation when `set_field` is
+  // negative, else that set-valued field's ValueOfField), which the
+  // NestedDb builds once per version and shares: no row is copied.
+  Result<RelId> AddTupleVariable(const EntityType& type,
+                                 const std::string& rel_name,
+                                 int set_field = -1) {
+    std::shared_ptr<const FlatRelation> flat =
+        nested_.Flatten(type, set_field);
+    return db_->AddRelation(rel_name, flat->columns, flat->snapshot);
   }
 
-  // The virtual ValueOfField relation for `owner_type`.`field_index`:
-  // one row (@owner, value) per element of each owner's set.
-  Result<RelId> MaterializeValueOfField(const EntityType& owner_type,
-                                        size_t field_index,
-                                        const std::string& rel_name) {
-    const FieldDef& field = owner_type.fields()[field_index];
-    FRO_ASSIGN_OR_RETURN(
-        RelId rel, db_->AddRelation(rel_name, {"@owner", field.name}));
-    for (const EntityRow& row : nested_.Rows(owner_type.name())) {
-      for (const Value& element : row.fields[field_index].elements) {
-        db_->AddRow(rel, {Value::Int(row.oid), element});
-      }
-    }
-    return rel;
-  }
-
+  // A name for a chain step's relation: neither registered nor a
+  // From-list variable, so a later From item never collides with it.
   std::string FreshRelName(const std::string& base) {
     std::string name = base;
     int suffix = 2;
-    while (db_->catalog().FindRelation(name).ok()) {
+    while (db_->catalog().FindRelation(name).ok() ||
+           from_vars_.count(name) > 0) {
       name = base + std::to_string(suffix++);
     }
     return name;
@@ -100,18 +80,9 @@ class Translator {
     if (base_type == nullptr) {
       return NotFound("unknown entity type " + item.type_name);
     }
-    // The tuple variable: the alias if given, else the type name. Reusing
-    // a type requires distinct aliases ("several copies of the same
-    // relation with renamed attributes", Section 1.2).
     const std::string& var =
         item.alias.empty() ? item.type_name : item.alias;
-    if (!base_vars_.insert(var).second) {
-      return InvalidArgument(
-          "tuple variable used twice in the From list: " + var +
-          " (give each use a distinct alias)");
-    }
-    FRO_ASSIGN_OR_RETURN(RelId base_rel,
-                         MaterializeEntityRelation(*base_type, var));
+    FRO_ASSIGN_OR_RETURN(RelId base_rel, AddTupleVariable(*base_type, var));
 
     // The chain of entities introduced so far, newest last; UnNest steps
     // contribute no entity (their values are scalars).
@@ -155,9 +126,7 @@ class Translator {
         std::string rel_name = FreshRelName(owner_name + "_" + step.field);
         FRO_ASSIGN_OR_RETURN(
             RelId value_rel,
-            MaterializeValueOfField(*owner.type,
-                                    static_cast<size_t>(field_index),
-                                    rel_name));
+            AddTupleVariable(*owner.type, rel_name, field_index));
         // NestedIn(@r, @value): R.@oid = V.@owner.
         PredicatePtr nested_in = EqCols(db_->Attr(owner_name, "@oid"),
                                         db_->Attr(rel_name, "@owner"));
@@ -172,9 +141,8 @@ class Translator {
                           " referenced by field " + field.name);
         }
         std::string rel_name = FreshRelName(owner_name + "_" + step.field);
-        FRO_ASSIGN_OR_RETURN(
-            RelId target_rel,
-            MaterializeEntityRelation(*target, rel_name));
+        FRO_ASSIGN_OR_RETURN(RelId target_rel,
+                             AddTupleVariable(*target, rel_name));
         // LinkedTo(@r, @value): R.Field@ref = D.@oid.
         PredicatePtr linked_to =
             EqCols(db_->Attr(owner_name, field.name + "@ref"),
@@ -188,7 +156,7 @@ class Translator {
 
   Result<Operand> ResolveOperand(const WhereOperand& operand) {
     if (!operand.is_column) return Operand::Literal(operand.literal);
-    if (base_vars_.count(operand.qualifier) == 0) {
+    if (from_vars_.count(operand.qualifier) == 0) {
       return InvalidArgument(
           "Where-list may only reference From-list base relations; "
           "attributes obtained from '*' or '->' are not allowed: " +
@@ -274,7 +242,9 @@ class Translator {
   const NestedDb& nested_;
   const SelectQuery& ast_;
   std::unique_ptr<Database> db_;
-  std::set<std::string> base_vars_;
+  // The From-list tuple variables, reserved before any chain name is
+  // picked.
+  std::set<std::string> from_vars_;
   std::vector<PendingOjEdge> oj_edges_;
   std::vector<PendingJoinEdge> join_edges_;
   std::vector<PredicatePtr> restrictions_;

@@ -16,6 +16,12 @@
 // predicates, so the translated query block always satisfies Theorem 1's
 // preconditions (the Section 5.3 observation). The translation returns
 // the audit so callers can verify this invariant.
+//
+// Every tuple variable (From item or chain step) is registered in the
+// translation's own catalog as a renaming of one of the NestedDb's
+// shared flattened relations (NestedDb::Flatten): the translation copies
+// no row, and the variable shares its relation version's columns,
+// statistics, join tables and tries with every other query.
 
 #ifndef FRO_LANG_TRANSLATE_H_
 #define FRO_LANG_TRANSLATE_H_
@@ -36,7 +42,8 @@ namespace fro {
 
 struct TranslationResult {
   /// The flattened relational database: one relation per base variable
-  /// plus one per UnNest/Link step.
+  /// plus one per UnNest/Link step, each a renaming of a NestedDb
+  /// flattened relation.
   std::unique_ptr<Database> db;
   /// The query graph of the block (join edges from Where equi-conjuncts,
   /// outerjoin edges from chain steps).

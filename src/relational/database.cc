@@ -4,23 +4,48 @@
 
 namespace fro {
 
-Result<RelId> Database::AddRelation(
+Result<Scheme> Database::Register(
     const std::string& name, const std::vector<std::string>& column_names) {
   FRO_ASSIGN_OR_RETURN(RelId rel, catalog_.RegisterRelation(name));
+  FRO_CHECK_EQ(relations_.size(), static_cast<size_t>(rel));
   std::vector<AttrId> cols;
   cols.reserve(column_names.size());
   for (const std::string& col : column_names) {
     FRO_ASSIGN_OR_RETURN(AttrId attr, catalog_.RegisterAttr(rel, col));
     cols.push_back(attr);
   }
-  relations_.push_back(std::make_shared<Relation>(Scheme(std::move(cols))));
+  return Scheme(std::move(cols));
+}
+
+Result<RelId> Database::AddRelation(
+    const std::string& name, const std::vector<std::string>& column_names) {
+  FRO_ASSIGN_OR_RETURN(Scheme scheme, Register(name, column_names));
+  relations_.push_back(std::make_shared<Relation>(std::move(scheme)));
   generations_.push_back(0);
-  FRO_CHECK_EQ(relations_.size(), static_cast<size_t>(rel) + 1);
-  // The catalog changed: every relation starts over from a fresh
-  // snapshot.
   std::lock_guard<std::mutex> lock(*snapshot_mu_);
-  snapshots_.clear();
-  return rel;
+  snapshots_.emplace_back();
+  return static_cast<RelId>(relations_.size() - 1);
+}
+
+Result<RelId> Database::AddRelation(
+    const std::string& name, const std::vector<std::string>& column_names,
+    std::shared_ptr<const RelationSnapshot> source) {
+  FRO_CHECK(source != nullptr);
+  if (column_names.size() != source->relation().scheme().size()) {
+    return InvalidArgument("relation " + name + " has " +
+                           std::to_string(column_names.size()) +
+                           " columns; its source has " +
+                           std::to_string(source->relation().scheme().size()));
+  }
+  FRO_ASSIGN_OR_RETURN(Scheme scheme, Register(name, column_names));
+  auto renamed = std::make_shared<Relation>(
+      source->relation().Renamed(std::move(scheme)));
+  relations_.push_back(renamed);
+  generations_.push_back(source->generation());
+  std::lock_guard<std::mutex> lock(*snapshot_mu_);
+  snapshots_.push_back(
+      std::make_shared<const RelationSnapshot>(*source, std::move(renamed)));
+  return static_cast<RelId>(relations_.size() - 1);
 }
 
 Result<RelId> Database::CloneRelation(RelId source,
@@ -33,9 +58,7 @@ Result<RelId> Database::CloneRelation(RelId source,
     const std::string& qualified = catalog_.AttrName(attr);
     columns.push_back(qualified.substr(qualified.find('.') + 1));
   }
-  FRO_ASSIGN_OR_RETURN(RelId copy, AddRelation(new_name, columns));
-  SetRows(copy, relations_[source]->rows());
-  return copy;
+  return AddRelation(new_name, columns, Snapshot(source));
 }
 
 void Database::SetRows(RelId rel, std::vector<Tuple> rows) {
@@ -62,12 +85,10 @@ Relation* Database::mutable_relation(RelId rel) { return Writable(rel); }
 std::shared_ptr<const RelationSnapshot> Database::Snapshot(RelId rel) const {
   FRO_CHECK_LT(rel, relations_.size());
   std::lock_guard<std::mutex> lock(*snapshot_mu_);
-  if (snapshots_.size() != relations_.size()) {
-    snapshots_.resize(relations_.size());
-  }
   std::shared_ptr<const RelationSnapshot>& slot = snapshots_[rel];
   if (slot == nullptr) {
-    slot = std::make_shared<RelationSnapshot>(relations_[rel]);
+    slot = std::make_shared<RelationSnapshot>(relations_[rel],
+                                              generations_[rel]);
   }
   return slot;
 }
@@ -77,7 +98,7 @@ Relation* Database::Writable(RelId rel) {
   ++generations_[rel];
   {
     std::lock_guard<std::mutex> lock(*snapshot_mu_);
-    if (rel < snapshots_.size()) snapshots_[rel].reset();
+    snapshots_[rel].reset();
   }
   std::shared_ptr<Relation>& current = relations_[rel];
   // A snapshot someone still holds shares this version: copy on write,

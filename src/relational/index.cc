@@ -41,21 +41,18 @@ bool HashIndex::KeyEq::operator()(const std::vector<Value>& a,
 }
 
 HashIndex::HashIndex(const Relation& relation,
-                     const std::vector<AttrId>& key_attrs)
-    : key_attrs_(key_attrs) {
-  std::vector<int> positions;
-  positions.reserve(key_attrs.size());
-  for (AttrId attr : key_attrs) {
-    int pos = relation.scheme().IndexOf(attr);
-    FRO_CHECK_GE(pos, 0) << "index key attribute not in relation scheme";
-    positions.push_back(pos);
+                     std::vector<size_t> key_positions)
+    : key_positions_(std::move(key_positions)) {
+  for (size_t pos : key_positions_) {
+    FRO_CHECK_LT(pos, relation.scheme().size())
+        << "index key position outside the relation's scheme";
   }
   for (size_t i = 0; i < relation.NumRows(); ++i) {
     std::vector<Value> key;
-    key.reserve(positions.size());
+    key.reserve(key_positions_.size());
     bool has_null = false;
-    for (int pos : positions) {
-      const Value& v = relation.row(i).value(static_cast<size_t>(pos));
+    for (size_t pos : key_positions_) {
+      const Value& v = relation.row(i).value(pos);
       if (v.is_null()) {
         has_null = true;
         break;
@@ -82,8 +79,10 @@ size_t HashIndex::bytes() const {
 
 std::shared_ptr<const HashIndex> SnapshotHashIndex(
     const RelationSnapshot& snapshot, const std::vector<AttrId>& key_attrs) {
-  return snapshot.Derived<HashIndex>("hash-index", key_attrs, [&] {
-    return std::make_shared<const HashIndex>(snapshot.relation(), key_attrs);
+  std::vector<size_t> positions =
+      snapshot.relation().scheme().PositionsOf(key_attrs);
+  return snapshot.Derived<HashIndex>("hash-index", positions, [&] {
+    return std::make_shared<const HashIndex>(snapshot.relation(), positions);
   });
 }
 

@@ -13,17 +13,18 @@
 
 namespace fro {
 
-/// Hash index mapping a key (values of `key_attrs` in scheme order) to the
-/// row indices holding it, under SQL equality: key values are indexed as
-/// NormalizeHashKeyValue makes them (ints widen to double), so 1 and 1.0
-/// are one key. Rows whose key contains a null are not indexed: under SQL
+/// Hash index mapping a key (the values at `key_positions`, in that
+/// order) to the row indices holding it, under SQL equality: key values
+/// are indexed as NormalizeHashKeyValue makes them (ints widen to
+/// double), so 1 and 1.0 are one key. Rows whose key contains a null are not indexed: under SQL
 /// semantics a null key can never equi-match, which is exactly the
 /// behaviour joins need.
 class HashIndex {
  public:
-  /// Builds an index on `relation`; the index keeps copies of the key
-  /// values, not references to the relation.
-  HashIndex(const Relation& relation, const std::vector<AttrId>& key_attrs);
+  /// Builds an index on `relation`'s columns at `key_positions`; the
+  /// index keeps copies of the key values, not references to the
+  /// relation.
+  HashIndex(const Relation& relation, std::vector<size_t> key_positions);
 
   /// Row indices whose key equals `key` under SQL equality. Keys
   /// containing nulls return no rows.
@@ -40,7 +41,7 @@ class HashIndex {
   size_t num_rows() const { return num_rows_; }
   /// Approximate heap footprint.
   size_t bytes() const;
-  const std::vector<AttrId>& key_attrs() const { return key_attrs_; }
+  const std::vector<size_t>& key_positions() const { return key_positions_; }
 
  private:
   /// Non-owning view of a probe key; hashed and compared exactly like an
@@ -62,15 +63,16 @@ class HashIndex {
     bool operator()(const std::vector<Value>& a, const KeyView& b) const;
   };
 
-  std::vector<AttrId> key_attrs_;
+  std::vector<size_t> key_positions_;
   std::unordered_map<std::vector<Value>, std::vector<size_t>, KeyHash, KeyEq>
       buckets_;
   std::vector<size_t> empty_;
   size_t num_rows_ = 0;
 };
 
-/// The snapshot's HashIndex on `key_attrs` (in this order), built on
-/// first request and kept with the snapshot.
+/// The snapshot's HashIndex on `key_attrs` (attributes of its scheme, in
+/// this order), built on first request and kept with the snapshot's
+/// body, so every renaming of the version shares it.
 std::shared_ptr<const HashIndex> SnapshotHashIndex(
     const RelationSnapshot& snapshot, const std::vector<AttrId>& key_attrs);
 

@@ -55,7 +55,8 @@ class Matcher {
     // A prebuilt index serves when it is keyed on exactly the
     // predicate's equi-key columns, in the order the probe keys come.
     if (prebuilt != nullptr && keys.Usable() &&
-        algo != JoinAlgo::kNestedLoop && prebuilt->key_attrs() == keys.right) {
+        algo != JoinAlgo::kNestedLoop &&
+        prebuilt->key_positions() == right.scheme().PositionsOf(keys.right)) {
       use_hash_ = true;
       keys_ = std::move(keys);
       index_ = prebuilt;
@@ -69,7 +70,8 @@ class Matcher {
     }
     if (use_hash_) {
       keys_ = std::move(keys);
-      owned_index_ = std::make_unique<HashIndex>(right_, keys_.right);
+      owned_index_ = std::make_unique<HashIndex>(
+          right_, right_.scheme().PositionsOf(keys_.right));
       index_ = owned_index_.get();
     }
   }

@@ -7,22 +7,45 @@
 namespace fro {
 
 Relation::Relation(Scheme scheme, std::vector<Tuple> rows)
-    : scheme_(std::move(scheme)), rows_(std::move(rows)) {
-  for (const Tuple& row : rows_) {
+    : scheme_(std::move(scheme)),
+      rows_(std::make_shared<std::vector<Tuple>>(std::move(rows))) {
+  for (const Tuple& row : *rows_) {
     FRO_CHECK_EQ(row.arity(), scheme_.size());
   }
+}
+
+const std::vector<Tuple>& Relation::rows() const {
+  static const std::vector<Tuple> kNoRows;
+  return rows_ != nullptr ? *rows_ : kNoRows;
+}
+
+Relation Relation::Renamed(Scheme scheme) const {
+  FRO_CHECK_EQ(scheme.size(), scheme_.size())
+      << "a renaming keeps the relation's arity";
+  Relation out(std::move(scheme));
+  out.rows_ = rows_;
+  return out;
+}
+
+std::vector<Tuple>& Relation::MutableRows() {
+  if (rows_ == nullptr) {
+    rows_ = std::make_shared<std::vector<Tuple>>();
+  } else if (rows_.use_count() > 1) {
+    rows_ = std::make_shared<std::vector<Tuple>>(*rows_);
+  }
+  return *rows_;
 }
 
 void Relation::AddRow(Tuple row) {
   FRO_CHECK_EQ(row.arity(), scheme_.size())
       << "row arity does not match scheme";
-  rows_.push_back(std::move(row));
+  MutableRows().push_back(std::move(row));
 }
 
 const Value& Relation::ValueOf(size_t i, AttrId attr) const {
   int pos = scheme_.IndexOf(attr);
   FRO_CHECK_GE(pos, 0) << "attribute not in scheme";
-  return rows_[i].value(static_cast<size_t>(pos));
+  return row(i).value(static_cast<size_t>(pos));
 }
 
 std::string Relation::ToString(const Catalog* catalog) const {
@@ -33,7 +56,7 @@ std::string Relation::ToString(const Catalog* catalog) const {
                               : "#" + std::to_string(scheme_.col(c));
   }
   out += "]\n";
-  for (const Tuple& row : rows_) {
+  for (const Tuple& row : rows()) {
     out += "  " + row.ToString() + "\n";
   }
   return out;

@@ -5,10 +5,16 @@
 // are stored as a multiset. Comparison helpers implement the paper's
 // padding convention: to compare or union relations with different schemes,
 // both are first padded with nulls to the union scheme (Section 2.1).
+//
+// The rows sit behind a shared, copy-on-write pointer: copying a relation
+// or renaming its attributes (Renamed) shares them in O(1), and the first
+// write through a copy that still shares them copies them. A relation
+// read by several threads is only read; a writer owns its copy.
 
 #ifndef FRO_RELATIONAL_RELATION_H_
 #define FRO_RELATIONAL_RELATION_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,16 +33,23 @@ class Relation {
   Relation(Scheme scheme, std::vector<Tuple> rows);
 
   const Scheme& scheme() const { return scheme_; }
-  size_t NumRows() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  const Tuple& row(size_t i) const { return rows_[i]; }
-  const std::vector<Tuple>& rows() const { return rows_; }
+  size_t NumRows() const { return rows_ != nullptr ? rows_->size() : 0; }
+  bool empty() const { return NumRows() == 0; }
+  const Tuple& row(size_t i) const { return (*rows_)[i]; }
+  /// The row storage; shared with every copy and renaming of this
+  /// relation until one of them writes.
+  const std::vector<Tuple>& rows() const;
+
+  /// The same rows under `scheme`, which must have this relation's arity:
+  /// the paper's "copy of the same relation with renamed attributes"
+  /// (Section 1.2), without copying a row.
+  Relation Renamed(Scheme scheme) const;
 
   /// Appends a row; arity must match the scheme.
   void AddRow(Tuple row);
   void AddRow(std::vector<Value> values) { AddRow(Tuple(std::move(values))); }
 
-  void Reserve(size_t n) { rows_.reserve(n); }
+  void Reserve(size_t n) { MutableRows().reserve(n); }
 
   /// Value of attribute `attr` in row `i`; the attribute must be in the
   /// scheme.
@@ -45,8 +58,11 @@ class Relation {
   std::string ToString(const Catalog* catalog = nullptr) const;
 
  private:
+  /// The rows, made private to this relation first if they are shared.
+  std::vector<Tuple>& MutableRows();
+
   Scheme scheme_;
-  std::vector<Tuple> rows_;
+  std::shared_ptr<std::vector<Tuple>> rows_;  // null: no rows yet
 };
 
 /// Re-layouts `rel` to `target` scheme: attributes present in `rel` keep

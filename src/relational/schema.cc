@@ -68,15 +68,35 @@ void AttrSet::Insert(AttrId id) {
 }
 
 Scheme::Scheme(std::vector<AttrId> cols) : cols_(std::move(cols)) {
+  index_.reserve(cols_.size());
   for (size_t i = 0; i < cols_.size(); ++i) {
-    auto [it, inserted] = index_.emplace(cols_[i], static_cast<int>(i));
-    FRO_CHECK(inserted) << "duplicate attribute " << cols_[i] << " in scheme";
+    index_.emplace_back(cols_[i], static_cast<int>(i));
+  }
+  std::sort(index_.begin(), index_.end());
+  for (size_t i = 1; i < index_.size(); ++i) {
+    FRO_CHECK(index_[i - 1].first != index_[i].first)
+        << "duplicate attribute " << index_[i].first << " in scheme";
   }
 }
 
 int Scheme::IndexOf(AttrId id) const {
-  auto it = index_.find(id);
-  return it == index_.end() ? -1 : it->second;
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), id,
+      [](const std::pair<AttrId, int>& entry, AttrId key) {
+        return entry.first < key;
+      });
+  return it == index_.end() || it->first != id ? -1 : it->second;
+}
+
+std::vector<size_t> Scheme::PositionsOf(const std::vector<AttrId>& ids) const {
+  std::vector<size_t> out;
+  out.reserve(ids.size());
+  for (AttrId id : ids) {
+    const int pos = IndexOf(id);
+    FRO_CHECK_GE(pos, 0) << "attribute " << id << " not in scheme";
+    out.push_back(static_cast<size_t>(pos));
+  }
+  return out;
 }
 
 Scheme Scheme::Concat(const Scheme& other) const {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -72,6 +73,8 @@ class Scheme {
   /// Position of `id`, or -1 if absent.
   int IndexOf(AttrId id) const;
   bool Contains(AttrId id) const { return IndexOf(id) >= 0; }
+  /// Positions of `ids`, in their order; each must be in the scheme.
+  std::vector<size_t> PositionsOf(const std::vector<AttrId>& ids) const;
 
   /// Concatenation; the operand schemes must be disjoint.
   Scheme Concat(const Scheme& other) const;
@@ -82,7 +85,9 @@ class Scheme {
 
  private:
   std::vector<AttrId> cols_;
-  std::unordered_map<AttrId, int> index_;  // id -> position
+  /// (id, position) sorted by id: one allocation however wide the
+  /// scheme, and a binary search per lookup.
+  std::vector<std::pair<AttrId, int>> index_;
 };
 
 /// Interns relation and attribute names. One catalog per Database.

@@ -89,7 +89,7 @@ void LeapfrogCore::Start(const MultiwaySpec& spec,
   size_t off = 0;
   for (size_t c = 0; c < n; ++c) {
     offset_[c] = off;
-    arity_[c] = tries_[c]->scheme().size();
+    arity_[c] = tries_[c]->arity();
     off += arity_[c];
   }
   total_arity_ = off;
@@ -304,10 +304,11 @@ void BatchLeapfrogIterator::OpenImpl() {
     DrainedRows& operand = operands_[c];
     operand = DrainBuildInput(children_[c].get(), batch_capacity_);
     build_reads_ += operand.rows().NumRows();
-    const std::vector<AttrId>& levels = spec_.child_levels[c];
+    const std::vector<size_t> levels =
+        children_[c]->scheme().PositionsOf(spec_.child_levels[c]);
     if (operand.snapshot != nullptr) {
       // A whole base relation: its trie on these levels is built once
-      // per relation version and shared.
+      // per relation version and shared by every renaming of it.
       const RelationSnapshot& snapshot = *operand.snapshot;
       tries_.push_back(snapshot.Derived<TrieIndex>("trie", levels, [&] {
         return std::make_shared<const TrieIndex>(snapshot.relation(), levels);

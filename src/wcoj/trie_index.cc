@@ -9,14 +9,12 @@
 namespace fro {
 
 TrieIndex::TrieIndex(const Relation& source,
-                     std::vector<AttrId> level_attrs)
-    : source_(&source), level_attrs_(std::move(level_attrs)) {
-  std::vector<int> key_pos;
-  key_pos.reserve(level_attrs_.size());
-  for (AttrId attr : level_attrs_) {
-    const int pos = source.scheme().IndexOf(attr);
-    FRO_CHECK_GE(pos, 0) << "trie level attr missing from scheme";
-    key_pos.push_back(pos);
+                     std::vector<size_t> level_positions)
+    : rows_(&source.rows()),
+      arity_(source.scheme().size()),
+      level_positions_(std::move(level_positions)) {
+  for (size_t pos : level_positions_) {
+    FRO_CHECK_LT(pos, arity_) << "trie level outside the source's scheme";
   }
 
   // Surviving rows: no null in any key column (nulls never equi-join).
@@ -24,8 +22,8 @@ TrieIndex::TrieIndex(const Relation& source,
   order.reserve(source.NumRows());
   for (size_t i = 0; i < source.NumRows(); ++i) {
     bool has_null_key = false;
-    for (int pos : key_pos) {
-      if (source.row(i).value(static_cast<size_t>(pos)).is_null()) {
+    for (size_t pos : level_positions_) {
+      if (source.row(i).value(pos).is_null()) {
         has_null_key = true;
         break;
       }
@@ -35,12 +33,12 @@ TrieIndex::TrieIndex(const Relation& source,
 
   // Normalized keys per level, gathered before sorting so the comparator
   // is a flat lookup.
-  std::vector<std::vector<Value>> raw(level_attrs_.size());
-  for (size_t l = 0; l < level_attrs_.size(); ++l) {
+  std::vector<std::vector<Value>> raw(level_positions_.size());
+  for (size_t l = 0; l < level_positions_.size(); ++l) {
     raw[l].reserve(order.size());
     for (uint32_t r : order) {
-      raw[l].push_back(NormalizeHashKeyValue(
-          source.row(r).value(static_cast<size_t>(key_pos[l]))));
+      raw[l].push_back(
+          NormalizeHashKeyValue(source.row(r).value(level_positions_[l])));
     }
   }
   std::vector<uint32_t> perm(order.size());
@@ -55,7 +53,7 @@ TrieIndex::TrieIndex(const Relation& source,
                    });
 
   order_.reserve(perm.size());
-  keys_.assign(level_attrs_.size(), {});
+  keys_.assign(level_positions_.size(), {});
   for (auto& level : keys_) level.reserve(perm.size());
   for (uint32_t p : perm) {
     order_.push_back(order[p]);

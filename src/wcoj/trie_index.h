@@ -30,32 +30,36 @@ namespace fro {
 class TrieIndex {
  public:
   /// Indexes `source` (a base relation's snapshot rows or an operator's
-  /// drained rows), which must outlive the index unchanged.
-  /// `level_attrs` must be distinct attributes of the relation's scheme;
-  /// it may be empty, in which case the index is a single flat range.
-  TrieIndex(const Relation& source, std::vector<AttrId> level_attrs);
+  /// drained rows), whose row storage must outlive the index unchanged.
+  /// `level_positions` must be distinct positions of the source's
+  /// scheme; it may be empty, in which case the index is a single flat
+  /// range.
+  TrieIndex(const Relation& source, std::vector<size_t> level_positions);
 
   size_t num_rows() const { return order_.size(); }
-  size_t num_levels() const { return level_attrs_.size(); }
-  const std::vector<AttrId>& level_attrs() const { return level_attrs_; }
-  const Scheme& scheme() const { return source_->scheme(); }
+  size_t num_levels() const { return level_positions_.size(); }
+  /// Columns of every indexed row.
+  size_t arity() const { return arity_; }
 
   /// Sorted row `i` with original values.
-  const Tuple& row(size_t i) const { return source_->row(order_[i]); }
+  const Tuple& row(size_t i) const { return (*rows_)[order_[i]]; }
 
   /// Normalized key of sorted row `i` at `level`.
   const Value& key(size_t level, size_t i) const { return keys_[level][i]; }
 
   /// Rows of the source, null keys included.
-  size_t source_rows() const { return source_->NumRows(); }
+  size_t source_rows() const { return rows_->size(); }
 
   /// Approximate heap footprint (row ids and keys; the rows are the
   /// source's).
   size_t bytes() const;
 
  private:
-  const Relation* source_;
-  std::vector<AttrId> level_attrs_;  // level order
+  /// The source's row storage, which its renamings share; the index
+  /// reads it by position only.
+  const std::vector<Tuple>* rows_;
+  size_t arity_;
+  std::vector<size_t> level_positions_;  // level order
   std::vector<uint32_t> order_;      // source row id per sorted row
   std::vector<std::vector<Value>> keys_;  // [level][sorted row] normalized
 };

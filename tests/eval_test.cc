@@ -29,6 +29,18 @@ TEST_F(EvalTest, LeafReturnsRelation) {
   EXPECT_TRUE(BagEquals(out, db_.relation(x_)));
 }
 
+TEST_F(EvalTest, LeafSharesTheBaseRelationsRows) {
+  // A leaf reads its base relation in place: the result shares the row
+  // storage instead of copying it.
+  Relation out = Eval(Expr::Leaf(x_, db_), db_);
+  EXPECT_EQ(out.rows().data(), db_.relation(x_).rows().data());
+  // A write through the result copies first; the base keeps its rows.
+  out.AddRow({Value::Int(7)});
+  EXPECT_NE(out.rows().data(), db_.relation(x_).rows().data());
+  EXPECT_EQ(db_.relation(x_).NumRows(), 2u);
+  EXPECT_EQ(out.NumRows(), 3u);
+}
+
 TEST_F(EvalTest, JoinAndOuterJoin) {
   ExprPtr x = Expr::Leaf(x_, db_);
   ExprPtr y = Expr::Leaf(y_, db_);

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algebra/eval.h"
 #include "graph/nice.h"
 #include "lang/lang.h"
@@ -20,6 +25,28 @@ TranslationResult MustTranslate(const NestedDb& db, const std::string& text) {
   Result<TranslationResult> translated = TranslateQuery(db, *ast);
   EXPECT_TRUE(translated.ok()) << translated.status().ToString();
   return std::move(*translated);
+}
+
+/// A run's result as sorted rows over its columns sorted by qualified
+/// name, so two translations that number attributes differently compare.
+std::vector<std::vector<std::string>> ByColumnName(const QueryRunResult& run) {
+  const Catalog& catalog = run.translation.db->catalog();
+  const Scheme& scheme = run.relation.scheme();
+  std::vector<std::pair<std::string, size_t>> columns;
+  for (size_t c = 0; c < scheme.size(); ++c) {
+    columns.emplace_back(catalog.AttrName(scheme.col(c)), c);
+  }
+  std::sort(columns.begin(), columns.end());
+  std::vector<std::vector<std::string>> rows;
+  for (const Tuple& row : run.relation.rows()) {
+    std::vector<std::string> named;
+    for (const auto& [name, c] : columns) {
+      named.push_back(name + "=" + row.value(c).ToString());
+    }
+    rows.push_back(std::move(named));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 TEST(ModelTest, TypeAndEntityBasics) {
@@ -191,6 +218,40 @@ std::string ManyRelationQuery(int aliases) {
     }
   }
   return from + "REPORT" + where + "REPORT.Cost = 1";
+}
+
+TEST(TranslateTest, FromAliasMayEqualAGeneratedChainName) {
+  // A chain step's relation is named <owner>_<field>; a From alias with
+  // that name is reserved first, in either order, so the step takes the
+  // next free name and both orders translate to the same relations.
+  NestedDb db = MakeCompanyNestedDb();
+  const std::string chain_first =
+      "Select All From DEPARTMENT-->Manager, EMPLOYEE DEPARTMENT_Manager "
+      "Where DEPARTMENT.D# = DEPARTMENT_Manager.D#";
+  const std::string alias_first =
+      "Select All From EMPLOYEE DEPARTMENT_Manager, DEPARTMENT-->Manager "
+      "Where DEPARTMENT.D# = DEPARTMENT_Manager.D#";
+  for (const std::string& text : {chain_first, alias_first}) {
+    SCOPED_TRACE(text);
+    Result<SelectQuery> ast = ParseQuery(text);
+    ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+    Result<TranslationResult> translated = TranslateQuery(db, *ast);
+    ASSERT_TRUE(translated.ok()) << translated.status().ToString();
+    const TranslationResult& t = *translated;
+    const Catalog& catalog = t.db->catalog();
+    // The alias is the EMPLOYEE tuple variable the Where list names; the
+    // manager link got the next free name.
+    EXPECT_TRUE(catalog.FindRelation("DEPARTMENT_Manager").ok());
+    EXPECT_TRUE(catalog.FindRelation("DEPARTMENT_Manager2").ok());
+    EXPECT_EQ(t.db->num_relations(), 3u);
+    EXPECT_TRUE(t.audit.freely_reorderable());
+  }
+  Result<QueryRunResult> a = RunQuery(db, chain_first);
+  Result<QueryRunResult> b = RunQuery(db, alias_first);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->relation.NumRows(), 3u);
+  EXPECT_EQ(ByColumnName(*a), ByColumnName(*b));
 }
 
 TEST(TranslateTest, MoreThan64RelationsIsInvalidArgument) {

@@ -41,8 +41,10 @@ uint64_t TotalBuilds(const Database& db) {
 
 std::shared_ptr<const TrieIndex> SnapshotTrie(
     const RelationSnapshot& snapshot, const std::vector<AttrId>& levels) {
-  return snapshot.Derived<TrieIndex>("trie", levels, [&] {
-    return std::make_shared<const TrieIndex>(snapshot.relation(), levels);
+  const std::vector<size_t> positions =
+      snapshot.relation().scheme().PositionsOf(levels);
+  return snapshot.Derived<TrieIndex>("trie", positions, [&] {
+    return std::make_shared<const TrieIndex>(snapshot.relation(), positions);
   });
 }
 
@@ -115,20 +117,46 @@ TEST_F(SnapshotMutationTest, MutableRelationDropsDerivedStructures) {
   ExpectDropped(s_, before);
 }
 
-TEST_F(SnapshotMutationTest, AddRelationDropsDerivedStructures) {
+TEST_F(SnapshotMutationTest, AddRelationKeepsOtherSnapshots) {
   std::shared_ptr<const RelationSnapshot> before = WarmS();
   ASSERT_TRUE(db_.AddRelation("T", {"x"}).ok());
-  ExpectDropped(s_, before);
+  EXPECT_EQ(db_.Snapshot(s_), before);
+  ExecuteBatched(query_, db_);
+  EXPECT_EQ(before->builds(), 1u);  // the table outlived the registration
 }
 
-TEST_F(SnapshotMutationTest, CloneRelationDropsDerivedStructures) {
+TEST_F(SnapshotMutationTest, CloneRelationSharesTheSourceSnapshot) {
   std::shared_ptr<const RelationSnapshot> before = WarmS();
   Result<RelId> copy = db_.CloneRelation(s_, "S2");
   ASSERT_TRUE(copy.ok());
-  ExpectDropped(s_, before);
+  EXPECT_EQ(db_.Snapshot(s_), before);
+  // The clone is a renaming: its own attributes over the same rows,
+  // columns and structures, copied by nothing.
   std::shared_ptr<const RelationSnapshot> clone = db_.Snapshot(*copy);
-  EXPECT_TRUE(clone->Structures().empty());
-  EXPECT_EQ(clone->relation().NumRows(), before->relation().NumRows());
+  EXPECT_TRUE(clone->SharesBodyWith(*before));
+  EXPECT_EQ(clone->relation().scheme().col(0), db_.Attr("S2", "c"));
+  EXPECT_EQ(clone->relation().rows().data(), before->relation().rows().data());
+  EXPECT_EQ(&clone->Column(1), &before->Column(1));
+  EXPECT_EQ(clone->Structures().size(), 1u);
+  EXPECT_EQ(db_.generation(*copy), db_.generation(s_));
+
+  // A join on the clone's renamed key finds the source's table.
+  ExprPtr on_clone =
+      Expr::OuterJoin(Expr::Leaf(r_, db_), Expr::Leaf(*copy, db_),
+                      EqCols(db_.Attr("R", "b"), db_.Attr("S2", "c")));
+  ExecuteBatched(on_clone, db_);
+  EXPECT_EQ(before->builds(), 1u);
+  EXPECT_TRUE(
+      BagEquals(ExecuteBatched(on_clone, db_), Eval(on_clone, db_)));
+
+  // Writing the clone gives it rows and a snapshot of its own; the
+  // source keeps its version.
+  db_.AddRow(*copy, {Value::Int(9), Value::Int(90)});
+  EXPECT_FALSE(db_.Snapshot(*copy)->SharesBodyWith(*before));
+  EXPECT_EQ(db_.relation(*copy).NumRows(), 6u);
+  EXPECT_EQ(db_.relation(s_).NumRows(), 5u);
+  EXPECT_EQ(db_.Snapshot(s_), before);
+  ExpectDropped(*copy, clone);
 }
 
 TEST_F(SnapshotMutationTest, HeldSnapshotStaysValidAcrossMutations) {
@@ -192,7 +220,7 @@ TEST(SnapshotTest, TrieCachedUntilMutation) {
       db.Snapshot(r)->Structures();
   ASSERT_EQ(listed.size(), 1u);
   EXPECT_EQ(listed[0].kind, "trie");
-  EXPECT_EQ(listed[0].keys, levels);
+  EXPECT_EQ(listed[0].key_positions, std::vector<size_t>{0});
   EXPECT_EQ(listed[0].rows, 2u);
   EXPECT_GT(listed[0].bytes, 0u);
 }
@@ -422,8 +450,9 @@ TEST(SnapshotIndexTest, IndexOnlyUsedWhenKeysMatch) {
   EXPECT_TRUE(BagEquals(Eval(join, *db, with_indexes), Eval(join, *db)));
   std::vector<SnapshotStructureInfo> listed = db->Snapshot(r2)->Structures();
   ASSERT_EQ(listed.size(), 2u);
-  EXPECT_EQ(listed[0].keys, std::vector<AttrId>{db->Attr("R2", "k")});
-  EXPECT_EQ(listed[1].keys, std::vector<AttrId>{db->Attr("R2", "fk")});
+  // Keyed by position in R2(k, fk).
+  EXPECT_EQ(listed[0].key_positions, std::vector<size_t>{0});
+  EXPECT_EQ(listed[1].key_positions, std::vector<size_t>{1});
 }
 
 TEST(SnapshotIndexTest, RandomQueriesAgreeUnderIndexes) {

@@ -35,13 +35,12 @@ const Expr* FindMultiway(const ExprPtr& expr) {
 TEST(TrieIndexTest, ExcludesNullKeysKeepsOriginalValues) {
   Database db;
   RelId r = *db.AddRelation("R", {"a", "b"});
-  AttrId a = db.Attr("R", "a");
   db.AddRow(r, {Value::Int(1), Value::Int(10)});
   db.AddRow(r, {Value::Null(), Value::Int(20)});   // null key: excluded
   db.AddRow(r, {Value::Double(1.0), Value::Int(5)});
   db.AddRow(r, {Value::Int(0), Value::Null()});    // null NON-key: kept
 
-  TrieIndex index(db.relation(r), {a});
+  TrieIndex index(db.relation(r), {0});  // levels by position: a
   EXPECT_EQ(index.source_rows(), 4u);
   EXPECT_EQ(index.num_rows(), 3u);
   EXPECT_EQ(index.num_levels(), 1u);
@@ -61,8 +60,7 @@ TEST(TrieIndexTest, CursorWalksDistinctKeysAndSeeks) {
   db.AddRow(r, {Value::Int(2), Value::Int(3)});
   db.AddRow(r, {Value::Int(5), Value::Int(9)});
 
-  TrieIndex index(db.relation(r),
-                  {db.Attr("R", "a"), db.Attr("R", "b")});
+  TrieIndex index(db.relation(r), {0, 1});  // a, then b
   TrieCursor cursor(&index);
   ASSERT_TRUE(cursor.Open());  // level 0: keys 0, 2, 5
   EXPECT_EQ(cursor.Key(), Value::Double(0));
