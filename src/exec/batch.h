@@ -20,7 +20,8 @@
 // their views, filters evaluate kernels over those and narrow the
 // selection in place, and pure equi hash joins emit columns directly —
 // rows are materialized only at pipeline boundaries (exchange staging,
-// blocking operators, result drains).
+// blocking operators, the row drain DrainChecked; the columnar drain
+// DrainColumns gathers columns instead).
 //
 // Selection-vector semantics are unchanged: when active, only
 // rows at sel[i] are alive; `size()` counts live rows and `selected(i)`

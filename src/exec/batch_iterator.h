@@ -25,6 +25,7 @@
 #include "algebra/expr.h"
 #include "common/status.h"
 #include "exec/batch.h"
+#include "relational/column_table.h"
 #include "relational/exec_stats.h"
 #include "relational/relation.h"
 
@@ -221,9 +222,18 @@ Relation DrainBatches(BatchIterator* iterator);
 /// returns the materialized relation — unless `control` (may be null)
 /// stopped the pipeline, in which case the truncated result is discarded
 /// and the control's Cancelled/DeadlineExceeded status is returned
-/// instead. This is the single execution surface lang::RunQuery and the
-/// server sessions drain through.
+/// instead. lang::RunQuery drains through it; so do the shell, EXPLAIN
+/// ANALYZE and the benchmarks, which read result rows.
 Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control);
+
+/// DrainChecked's columnar form: the same rows, statuses and deadline
+/// check, but each batch's live rows are gathered into the table's
+/// columns (views with offsets and selections, columnar batches, and
+/// row-slot batches through ColumnBatch::Column), so no row Tuple is
+/// built. The server's QUERY verb drains this way and renders the
+/// columns directly.
+Result<ColumnTable> DrainColumns(BatchIterator* iterator,
+                                 ExecControl* control);
 
 /// Sums the counters of every operator in the tree except scans, whose
 /// emissions are already charged to their consumers as reads — the same

@@ -8,24 +8,70 @@
 
 namespace fro {
 
-Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
-  std::vector<Tuple> rows;
+namespace {
+
+// Opens, exhausts and closes `iterator`, handing each batch to `sink`,
+// then reports whether `control` (may be null) stopped the pipeline.
+template <typename Sink>
+Status DrainInto(BatchIterator* iterator, ExecControl* control, Sink&& sink) {
   iterator->Open();
   TupleBatch batch;
-  while (iterator->NextBatch(&batch)) {
-    const size_t n = batch.size();
-    for (size_t i = 0; i < n; ++i) rows.push_back(batch.selected(i));
-  }
+  while (iterator->NextBatch(&batch)) sink(batch);
   iterator->Close();
-  if (control != nullptr) {
-    // One authoritative deadline check at completion: the per-batch
-    // checks may never have read the clock on a short pipeline, but an
-    // armed deadline that has passed must surface regardless of query
-    // size.
-    control->ShouldStopBatch();
-    FRO_RETURN_IF_ERROR(control->status());
-  }
+  if (control == nullptr) return Status::Ok();
+  // One authoritative deadline check at completion: the per-batch checks
+  // may never have read the clock on a short pipeline, but an armed
+  // deadline that has passed must surface regardless of query size.
+  control->ShouldStopBatch();
+  return control->status();
+}
+
+}  // namespace
+
+Result<Relation> DrainChecked(BatchIterator* iterator, ExecControl* control) {
+  std::vector<Tuple> rows;
+  FRO_RETURN_IF_ERROR(
+      DrainInto(iterator, control, [&rows](const TupleBatch& batch) {
+        const size_t n = batch.size();
+        for (size_t i = 0; i < n; ++i) rows.push_back(batch.selected(i));
+      }));
   return Relation(iterator->scheme(), std::move(rows));
+}
+
+Result<ColumnTable> DrainColumns(BatchIterator* iterator,
+                                 ExecControl* control) {
+  ColumnTable table(iterator->scheme());
+  std::vector<uint32_t> live;
+  auto append = [&table, &live](const TupleBatch& batch) {
+    const size_t n = batch.size();
+    // Every column of a batch reads its raw rows at one offset: the
+    // window start of a relation-backed view, else 0.
+    size_t offset = 0;
+    if (table.arity() > 0) batch.Column(0, &offset);
+    // Gather indices are 32-bit with kNullIndex reserved; a batch whose
+    // absolute row indices would not fit is copied value at a time.
+    const bool gather = offset + batch.NumRows() < ColumnVector::kNullIndex;
+    if (gather) {
+      live.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        live[i] = static_cast<uint32_t>(offset + batch.sel_index(i));
+      }
+    }
+    for (size_t c = 0; c < table.arity(); ++c) {
+      const ColumnVector& column = *batch.Column(c, &offset);
+      ColumnVector* out = table.mutable_column(c);
+      if (gather) {
+        out->AppendGather(column, live.data(), n);
+        continue;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        out->AppendFrom(column, offset + batch.sel_index(i));
+      }
+    }
+    table.CommitRows(n);
+  };
+  FRO_RETURN_IF_ERROR(DrainInto(iterator, control, append));
+  return table;
 }
 
 Relation DrainBatches(BatchIterator* iterator) {

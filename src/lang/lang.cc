@@ -16,6 +16,21 @@ Result<QueryRunResult> RunQuery(const NestedDb& nested,
 Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
                                       const SelectQuery& ast,
                                       const RunOptions& options) {
+  QueryRunResult result;
+  auto drain_rows = [&result](BatchIterator* root,
+                              ExecControl* control) -> Status {
+    FRO_ASSIGN_OR_RETURN(result.relation, DrainChecked(root, control));
+    return Status::Ok();
+  };
+  FRO_ASSIGN_OR_RETURN(static_cast<QueryRunReport&>(result),
+                       RunParsedQueryWith(nested, ast, options, drain_rows));
+  return result;
+}
+
+Result<QueryRunReport> RunParsedQueryWith(const NestedDb& nested,
+                                          const SelectQuery& ast,
+                                          const RunOptions& options,
+                                          const DrainFn& drain) {
   FRO_ASSIGN_OR_RETURN(TranslationResult translation,
                        TranslateQuery(nested, ast));
   // The Section 5.3 observation, enforced: query blocks generated by this
@@ -24,10 +39,10 @@ Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
       << "translated block is not freely reorderable: "
       << translation.audit.detail;
 
-  QueryRunResult result;
-  // The cache key and the feedback snapshot are fixed before planning:
-  // the snapshot both corrects this optimization and is the baseline the
-  // execution's own actuals are measured against.
+  QueryRunReport result;
+  // The cache key is fixed before planning. The feedback snapshot
+  // corrects this optimization; it copies the store only if planning
+  // reads it, so a plan-cache hit copies nothing.
   const uint64_t cache_key = translation.query->hash();
   CardinalityFeedback feedback_snapshot;
   if (options.optimize) {
@@ -45,9 +60,9 @@ Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
     result.optimize.classification = "optimization disabled";
   }
 
-  // Execute through the batch executor with the Status-carrying drain:
+  // Execute through the batch executor with a Status-carrying drain:
   // interruption surfaces as kCancelled / kDeadlineExceeded rather than a
-  // truncated relation.
+  // truncated result.
   ExecControl local_control;
   ExecControl* control = options.control;
   if (control == nullptr && options.deadline.has_value()) {
@@ -66,7 +81,7 @@ Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
   BatchIteratorPtr root =
       BuildParallelBatchIterator(result.optimize.plan, *translation.db, par);
   if (control != nullptr) root->SetControl(control);
-  FRO_ASSIGN_OR_RETURN(result.relation, DrainChecked(root.get(), control));
+  FRO_RETURN_IF_ERROR(drain(root.get(), control));
   result.plan_stats = SnapshotPlanStats(root.get());
   if (options.feedback != nullptr && result.optimize.plan != nullptr) {
     // Close the loop: persist this execution's actuals and report its

@@ -1,15 +1,22 @@
 // One-call facade for the Section 5 language: parse, translate, verify
 // free reorderability, optimize, execute.
 //
-// Execution goes through the batch executor and drains through the
-// Status-carrying DrainChecked surface,
-// so a cancelled or deadline-exceeded run comes back as an error Status
-// instead of a silently truncated relation.
+// A run drains its pipeline in one of two ways, both Status-carrying, so a
+// cancelled or deadline-exceeded run comes back as an error Status instead
+// of a silently truncated result:
+//  * RunQuery / RunParsedQuery drain rows through DrainChecked into
+//    QueryRunResult::relation. The shell, the benchmarks and the tests
+//    read that relation.
+//  * RunParsedQueryWith leaves the drain to its caller. The server's QUERY
+//    verb drains columns through DrainColumns and renders them, so no row
+//    Tuple is built between the executor and the wire.
+// Translation, planning, plan build, statistics and feedback are shared.
 
 #ifndef FRO_LANG_LANG_H_
 #define FRO_LANG_LANG_H_
 
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -26,20 +33,24 @@
 
 namespace fro {
 
-struct QueryRunResult {
-  /// The flattened result relation.
-  Relation relation;
+/// What a run reports besides its result rows.
+struct QueryRunReport {
   /// The translation artifacts (flattened database, graph, audit).
   TranslationResult translation;
   /// The optimizer's outcome (plan actually executed).
   OptimizeOutcome optimize;
-  /// Per-operator execution counters of the pipeline that produced
-  /// `relation` (see exec/stats_view.h).
+  /// Per-operator execution counters of the pipeline that produced the
+  /// result (see exec/stats_view.h).
   PlanOpStats plan_stats;
   /// Worst per-operator Q-error of this execution against the estimates
   /// the plan was chosen with; 1.0 when no feedback store was attached
   /// (nothing measured).
   double max_q_error = 1.0;
+};
+
+struct QueryRunResult : QueryRunReport {
+  /// The flattened result relation.
+  Relation relation;
 };
 
 /// Execution options shared by every run surface: lang::RunQuery,
@@ -130,6 +141,22 @@ Result<QueryRunResult> RunParsedQuery(const NestedDb& nested,
                                       const SelectQuery& ast,
                                       const RunOptions& options =
                                           RunOptions());
+
+/// Drains a built pipeline: called once with its root and the run's
+/// control (null when the run has none). It must open, exhaust and close
+/// the root, as DrainChecked and DrainColumns do, and return their status.
+using DrainFn =
+    std::function<Status(BatchIterator* root, ExecControl* control)>;
+
+/// RunParsedQuery with the drain left to `drain`: translate, plan and
+/// build, then `drain`, then statistics and feedback. A failed drain
+/// fails the run before any feedback is recorded. RunParsedQuery drains
+/// rows with DrainChecked; the server's QUERY verb drains columns with
+/// DrainColumns.
+Result<QueryRunReport> RunParsedQueryWith(const NestedDb& nested,
+                                          const SelectQuery& ast,
+                                          const RunOptions& options,
+                                          const DrainFn& drain);
 
 }  // namespace fro
 

@@ -88,6 +88,14 @@ Status NestedDb::DefineType(const std::string& name,
   if (type_index_.count(name) > 0) {
     return InvalidArgument("entity type already defined: " + name);
   }
+  for (size_t i = 0; i < fields.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (fields[j].name == fields[i].name) {
+        return InvalidArgument("duplicate field " + fields[i].name +
+                               " in entity type " + name);
+      }
+    }
+  }
   type_index_.emplace(name, types_.size());
   types_.emplace_back(name, std::move(fields));
   rows_.emplace_back();

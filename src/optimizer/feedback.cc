@@ -102,18 +102,32 @@ void FeedbackStore::Observe(uint64_t plan_hash, uint64_t op_hash,
   ObserveLocked(plan_hash, op_hash, est_rows, actual_rows);
 }
 
+void CardinalityFeedback::Load() const {
+  if (source_ == nullptr) return;
+  corrected_ = source_->CopyCorrections();
+  source_ = nullptr;
+}
+
 CardinalityFeedback FeedbackStore::Snapshot() const {
+  return CardinalityFeedback(this);
+}
+
+std::unordered_map<uint64_t, double> FeedbackStore::CopyCorrections() const {
   std::lock_guard<std::mutex> lock(mu_);
-  CardinalityFeedback snapshot;
+  std::unordered_map<uint64_t, double> corrected;
+  corrected.reserve(entries_.size());
   for (const auto& [op_hash, entry] : entries_) {
-    snapshot.Set(op_hash, entry.rows);
+    corrected.emplace(op_hash, entry.rows);
   }
-  return snapshot;
+  return corrected;
 }
 
 void FeedbackStore::Merge(const CardinalityFeedback& other) {
+  // Read `other` before locking: a pending snapshot of this very store
+  // takes its copy under mu_.
+  const std::unordered_map<uint64_t, double>& corrections = other.entries();
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [op_hash, rows] : other.entries()) {
+  for (const auto& [op_hash, rows] : corrections) {
     // A merged correction arrives without the estimate it was measured
     // against; fold it as an exact observation (q-error 1).
     ObserveLocked(/*plan_hash=*/0, op_hash, rows, rows);

@@ -44,32 +44,58 @@ struct PlanOpStats;
 /// zero. Always >= 1; 1 means the estimate was exact (to within a row).
 double QError(double est, double actual);
 
-/// An immutable point-in-time view of the store's corrections:
-/// source-expr hash -> measured output rows. This is what the estimator
-/// holds (optimizer/cardinality.h) — plain data, no locks, safe to copy
-/// into an optimization and drop after.
+class FeedbackStore;
+
+/// A point-in-time view of a store's corrections: source-expr hash ->
+/// measured output rows. This is what the estimator holds
+/// (optimizer/cardinality.h) — plain data once read, safe to copy into
+/// an optimization and drop after.
+///
+/// A snapshot taken with FeedbackStore::Snapshot copies the store on its
+/// first read, not when it is taken, so a planning run that never reads
+/// it (a plan-cache hit) copies nothing; every later read sees that one
+/// copy. Until that first read the store must stay alive, and one
+/// snapshot must not be read from two threads at once (each optimization
+/// holds its own).
 class CardinalityFeedback {
  public:
-  bool empty() const { return corrected_.empty(); }
-  size_t size() const { return corrected_.size(); }
+  CardinalityFeedback() = default;
+
+  bool empty() const { return entries().empty(); }
+  size_t size() const { return entries().size(); }
 
   /// The corrected row count for `op_hash`, or null when the store has
   /// never seen that subexpression execute.
   const double* Lookup(uint64_t op_hash) const {
-    auto it = corrected_.find(op_hash);
-    return it == corrected_.end() ? nullptr : &it->second;
+    const std::unordered_map<uint64_t, double>& corrected = entries();
+    auto it = corrected.find(op_hash);
+    return it == corrected.end() ? nullptr : &it->second;
   }
 
   /// Direct injection, used by tests and the differential fuzzer to
   /// force a correction without going through a store.
-  void Set(uint64_t op_hash, double rows) { corrected_[op_hash] = rows; }
+  void Set(uint64_t op_hash, double rows) {
+    Load();
+    corrected_[op_hash] = rows;
+  }
 
   const std::unordered_map<uint64_t, double>& entries() const {
+    Load();
     return corrected_;
   }
 
  private:
-  std::unordered_map<uint64_t, double> corrected_;
+  friend class FeedbackStore;
+  explicit CardinalityFeedback(const FeedbackStore* source)
+      : source_(source) {}
+
+  /// Takes the pending copy of `source_`, if any.
+  void Load() const;
+
+  /// The store still to be copied; null once copied or for a snapshot
+  /// built with Set.
+  mutable const FeedbackStore* source_ = nullptr;
+  mutable std::unordered_map<uint64_t, double> corrected_;
 };
 
 struct FeedbackOptions {
@@ -106,9 +132,9 @@ struct FeedbackStoreStats {
 
 /// The server's shared actuals registry. Thread-safe: workers Observe
 /// concurrently after every execution, and each optimization takes a
-/// Snapshot (plain copy) to plan against. Bounded: `capacity` live
-/// entries, exponential decay retires subexpressions that stopped
-/// executing (see FeedbackOptions).
+/// Snapshot (copied on its first read) to plan against. Bounded:
+/// `capacity` live entries, exponential decay retires subexpressions that
+/// stopped executing (see FeedbackOptions).
 class FeedbackStore {
  public:
   explicit FeedbackStore(FeedbackOptions options = FeedbackOptions());
@@ -120,7 +146,8 @@ class FeedbackStore {
   void Observe(uint64_t plan_hash, uint64_t op_hash, double est_rows,
                double actual_rows);
 
-  /// Copies the current corrections out (op-hash -> EWMA actual rows).
+  /// The corrections (op-hash -> EWMA actual rows) as of the snapshot's
+  /// first read, when it copies them (see CardinalityFeedback).
   CardinalityFeedback Snapshot() const;
 
   /// Folds externally collected corrections in (e.g. a peer shard's
@@ -149,6 +176,11 @@ class FeedbackStore {
     uint64_t last_tick = 0;
     uint64_t plan_hash = 0;  // last contributing plan (provenance)
   };
+
+  friend class CardinalityFeedback;
+
+  /// Copies the current corrections out.
+  std::unordered_map<uint64_t, double> CopyCorrections() const;
 
   // Both require mu_ held.
   double DecayedWeight(const Entry& entry) const;

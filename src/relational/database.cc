@@ -6,6 +6,9 @@ namespace fro {
 
 Result<Scheme> Database::Register(
     const std::string& name, const std::vector<std::string>& column_names) {
+  // Validate first: a rejected relation must leave no trace, or the
+  // catalog would run one relation ahead of relations_.
+  FRO_RETURN_IF_ERROR(catalog_.CheckRegistration(name, column_names));
   FRO_ASSIGN_OR_RETURN(RelId rel, catalog_.RegisterRelation(name));
   FRO_CHECK_EQ(relations_.size(), static_cast<size_t>(rel));
   std::vector<AttrId> cols;

@@ -1,11 +1,19 @@
-// Aligned tabular rendering of relations, for interactive tools.
+// Aligned tabular rendering of results, for interactive tools and the
+// server's QUERY answers.
+//
+// There is one renderer, and it reads columns (relational/column_table.h):
+// typed reads for int and double columns, Values for generic ones. A
+// Relation is transposed once and rendered the same way.
 
 #ifndef FRO_RELATIONAL_PRETTY_H_
 #define FRO_RELATIONAL_PRETTY_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "relational/column_table.h"
 #include "relational/relation.h"
 
 namespace fro {
@@ -24,20 +32,46 @@ struct PrettyOptions {
   std::string null_text = "∅";
 };
 
-/// Renders `rel` as an aligned ASCII table:
+/// The renderer. Construction is its first pass (column and row order,
+/// column widths, exact size), kept so a caller can read the size before
+/// the second pass, Write, renders anything; the server refuses an
+/// over-limit table this way. `table` must outlive the layout.
+class PrettyLayout {
+ public:
+  PrettyLayout(const ColumnTable& table, const Catalog* catalog,
+               const PrettyOptions& options);
+
+  /// The exact size in bytes of the table Write renders, without its
+  /// trailer.
+  size_t bytes() const { return bytes_; }
+
+  /// The second pass: the table followed by `trailer`, written into one
+  /// buffer sized once for both.
+  std::string Write(std::string_view trailer = {}) const;
+
+ private:
+  std::string null_text_;
+  std::vector<std::string> headers_;
+  /// The table's columns in display order.
+  std::vector<const ColumnVector*> columns_;
+  /// Row order: a permutation of the table's rows, shown ones first.
+  std::vector<uint32_t> order_;
+  size_t shown_ = 0;
+  std::vector<size_t> widths_;
+  std::string more_;
+  size_t bytes_ = 0;
+};
+
+/// Renders `rel`, transposed to columns once, as an aligned ASCII table
+/// followed by `trailer`:
 ///
 ///   dno | dname    | location
 ///   ----+----------+---------
 ///     1 | Research | Zurich
 ///     3 | Archive  | Zurich
 std::string PrettyTable(const Relation& rel, const Catalog* catalog,
-                        const PrettyOptions& options = PrettyOptions());
-
-/// The same table followed by `trailer`, rendered into one buffer sized
-/// once for both (the server appends its row-count footer this way).
-std::string PrettyTable(const Relation& rel, const Catalog* catalog,
-                        const PrettyOptions& options,
-                        std::string_view trailer);
+                        const PrettyOptions& options = PrettyOptions(),
+                        std::string_view trailer = {});
 
 }  // namespace fro
 

@@ -134,6 +134,26 @@ Result<AttrId> Catalog::RegisterAttr(RelId rel, const std::string& attr_name) {
   return id;
 }
 
+Status Catalog::CheckRegistration(
+    const std::string& name, const std::vector<std::string>& attr_names) const {
+  if (rel_by_name_.count(name) > 0) {
+    return InvalidArgument("relation already registered: " + name);
+  }
+  std::string qualified = name + ".";
+  const size_t prefix = qualified.size();
+  for (size_t i = 0; i < attr_names.size(); ++i) {
+    const std::string& attr = attr_names[i];
+    qualified.resize(prefix);
+    qualified += attr;
+    const auto earlier = attr_names.begin() + static_cast<std::ptrdiff_t>(i);
+    if (attr_by_name_.count(qualified) > 0 ||
+        std::find(attr_names.begin(), earlier, attr) != earlier) {
+      return InvalidArgument("attribute already registered: " + qualified);
+    }
+  }
+  return Status::Ok();
+}
+
 Result<RelId> Catalog::FindRelation(const std::string& name) const {
   auto it = rel_by_name_.find(name);
   if (it == rel_by_name_.end()) return NotFound("relation " + name);

@@ -106,6 +106,12 @@ class Catalog {
   /// is unknown.
   Result<AttrId> RegisterAttr(RelId rel, const std::string& attr_name);
 
+  /// Whether RegisterRelation(name) and then RegisterAttr for each of
+  /// `attr_names`, in order, would all succeed; the same error otherwise.
+  /// Changes nothing, so a caller can validate before registering.
+  Status CheckRegistration(const std::string& name,
+                           const std::vector<std::string>& attr_names) const;
+
   Result<RelId> FindRelation(const std::string& name) const;
   /// Finds `rel.attr` by names.
   Result<AttrId> FindAttr(const std::string& rel_name,

@@ -36,15 +36,27 @@ Result<PlannedQuery> Plan(const NestedDb& db, const SelectQuery& ast,
 }
 
 // The QUERY body: the canonical, unlimited table and its row-count
-// footer, rendered into one buffer.
-std::string RenderResult(const Relation& relation, const Catalog& catalog,
-                         const std::string& notes) {
+// footer, rendered into one buffer — or ResourceExhausted, decided from
+// the renderer's measured size before anything is written, when the
+// body would not fit in a frame (WriteResponse would refuse it and the
+// server would drop the connection).
+Result<std::string> RenderResult(const ColumnTable& table,
+                                 const Catalog& catalog,
+                                 const std::string& notes) {
   PrettyOptions pretty;
   pretty.canonical = true;
   pretty.max_rows = static_cast<size_t>(-1);
   const std::string footer =
-      "(" + std::to_string(relation.NumRows()) + " rows; " + notes + ")\n";
-  return PrettyTable(relation, &catalog, pretty, footer);
+      "(" + std::to_string(table.NumRows()) + " rows; " + notes + ")\n";
+  const PrettyLayout layout(table, &catalog, pretty);
+  const size_t bytes = layout.bytes() + footer.size();
+  if (bytes > kMaxOkBodyBytes) {
+    return ResourceExhausted(
+        "result of " + std::to_string(table.NumRows()) + " rows renders to " +
+        std::to_string(bytes) + " bytes, over the " +
+        std::to_string(kMaxOkBodyBytes) + "-byte response limit");
+  }
+  return layout.Write(footer);
 }
 
 }  // namespace
@@ -135,7 +147,7 @@ Response QuerySession::RunQueryVerb(const std::string& text, int threads,
   }
   // The one place this request's execution options are assembled:
   // deadline, plan cache, feedback, and worker threads all flow
-  // through RunOptions into the Status-carrying RunParsedQuery surface.
+  // through RunOptions into the Status-carrying RunParsedQueryWith.
   RunOptions run = RunOptions()
                        .WithPlanCache(plan_cache_)
                        .WithThreads(threads)
@@ -144,32 +156,35 @@ Response QuerySession::RunQueryVerb(const std::string& text, int threads,
   if (options_.default_deadline_ms > 0) {
     run.WithDeadline(std::chrono::milliseconds(options_.default_deadline_ms));
   }
-  Result<QueryRunResult> result = RunParsedQuery(*db_, *ast, run);
-  if (!result.ok()) {
-    // Includes kCancelled / kDeadlineExceeded from DrainChecked: the
+  // The result stays columnar from the drain to the wire.
+  ColumnTable table;
+  auto drain_columns = [&table](BatchIterator* root,
+                                ExecControl* stop) -> Status {
+    FRO_ASSIGN_OR_RETURN(table, DrainColumns(root, stop));
+    return Status::Ok();
+  };
+  Result<QueryRunReport> report =
+      RunParsedQueryWith(*db_, *ast, run, drain_columns);
+  if (!report.ok()) {
+    // Includes kCancelled / kDeadlineExceeded from DrainColumns: the
     // status reaches the wire protocol instead of a truncated table.
-    response.status = result.status();
+    response.status = report.status();
     return response;
   }
-  *cache_hit = result->optimize.cache_hit;
+  *cache_hit = report->optimize.cache_hit;
   if (metrics_ != nullptr) {
-    ForEachOp(result->plan_stats, [this](const PlanOpStats& op, int) {
+    ForEachOp(report->plan_stats, [this](const PlanOpStats& op, int) {
       metrics_->RecordOperator(op.physical_name, op.stats);
     });
-    metrics_->RecordOptimizerPasses(result->optimize.passes);
+    metrics_->RecordOptimizerPasses(report->optimize.passes);
   }
-  response.body = RenderResult(result->relation,
-                               result->translation.db->catalog(),
-                               result->optimize.Summary());
-  if (response.body.size() > kMaxOkBodyBytes) {
-    // WriteResponse would refuse this frame and the server would drop
-    // the connection; answer with an error the client can read instead.
-    response.status = ResourceExhausted(
-        "result of " + std::to_string(result->relation.NumRows()) +
-        " rows renders to " + std::to_string(response.body.size()) +
-        " bytes, over the " + std::to_string(kMaxOkBodyBytes) +
-        "-byte response limit");
-    response.body.clear();
+  Result<std::string> body =
+      RenderResult(table, report->translation.db->catalog(),
+                   report->optimize.Summary());
+  if (body.ok()) {
+    response.body = std::move(*body);
+  } else {
+    response.status = body.status();
   }
   return response;
 }

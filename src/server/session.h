@@ -8,13 +8,14 @@
 //   * the LRU plan cache threaded into Optimize (hash-keyed plan reuse),
 //   * the metrics registry (latency, outcomes, per-operator totals).
 //
-// QUERY runs through lang::RunParsedQuery — the one Status-carrying
-// execution surface — with the caller's ExecControl attached, so
-// deadlines and CANCEL stop it mid-drain and surface as kCancelled /
-// kDeadlineExceeded statuses; results render as the canonical table
-// (sorted rows and columns), which is what makes "byte-identical to
-// serial execution" a testable claim. Per-operator metrics roll up from
-// the execution's PlanOpStats snapshot.
+// QUERY runs through lang::RunParsedQueryWith, draining columns
+// (DrainColumns) with the caller's ExecControl attached, so deadlines
+// and CANCEL stop it mid-drain and surface as kCancelled /
+// kDeadlineExceeded statuses. The columns render straight into the
+// canonical table (sorted rows and columns) — no row Tuple is built on
+// the way to the wire — which is what makes "byte-identical to serial
+// execution" a testable claim. Per-operator metrics roll up from the
+// execution's PlanOpStats snapshot.
 
 #ifndef FRO_SERVER_SESSION_H_
 #define FRO_SERVER_SESSION_H_

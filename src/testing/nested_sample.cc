@@ -152,4 +152,38 @@ NestedDb MakeScaledCompanyNestedDb(int scale) {
   return db;
 }
 
+std::vector<std::string> Section5SampleQueries() {
+  const std::string five =
+      "Select All From EMPLOYEE E1, DEPARTMENT D1, EMPLOYEE E2, "
+      "DEPARTMENT D2, EMPLOYEE E3 "
+      "Where E1.D# = D1.D# and E2.D# = D1.D# and E2.Rank = E3.Rank "
+      "and E3.D# = D2.D#";
+  const std::string seven =
+      "Select All From EMPLOYEE E1, DEPARTMENT D1, EMPLOYEE E2, "
+      "DEPARTMENT D2, EMPLOYEE E3, DEPARTMENT D3, EMPLOYEE E4 "
+      "Where E1.D# = D1.D# and E2.D# = D1.D# and E2.Rank = E3.Rank "
+      "and E3.D# = D2.D# and E4.D# = D2.D# and E4.Rank = E1.Rank "
+      "and D3.D# = E3.D#";
+  return {
+      "Select All From EMPLOYEE*ChildName, DEPARTMENT "
+      "Where EMPLOYEE.D# = DEPARTMENT.D#",
+      "Select All From DEPARTMENT-->Manager-->Audit",
+      "Select All From DEPARTMENT-->Manager*ChildName "
+      "Where DEPARTMENT.Location = 'Zurich'",
+      "Select All From EMPLOYEE Where EMPLOYEE.Rank = 12",
+      "Select All From EMPLOYEE*ChildName, DEPARTMENT-->Secretary "
+      "Where EMPLOYEE.D# = DEPARTMENT.D#",
+      "Select EMPLOYEE.Rank, DEPARTMENT.Location From EMPLOYEE, DEPARTMENT "
+      "Where EMPLOYEE.D# = DEPARTMENT.D#",
+      five,
+      five + " and D1.Location = 'Queretaro'",
+      five + " and D1.Location = 'Lisbon'",
+      seven,
+      seven + " and D3.Location = 'Zurich'",
+      seven + " and D3.Location = 'Osaka'",
+      seven + " and D3.Location = 'Toronto'",
+      seven + " and D3.Location = 'Paris'",
+  };
+}
+
 }  // namespace fro

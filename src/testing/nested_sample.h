@@ -5,6 +5,9 @@
 #ifndef FRO_TESTING_NESTED_SAMPLE_H_
 #define FRO_TESTING_NESTED_SAMPLE_H_
 
+#include <string>
+#include <vector>
+
 #include "lang/model.h"
 
 namespace fro {
@@ -27,6 +30,11 @@ NestedDb MakeCompanyNestedDb();
 /// from a small domain so self-joins on Rank fan out quadratically —
 /// the long-running query the deadline and CANCEL paths need).
 NestedDb MakeScaledCompanyNestedDb(int scale);
+
+/// The 14 Section-5 queries of the planning and serving workloads over
+/// the company database: six cheap ones, then five- and seven-way
+/// self-joins, with one fixed choice of their constants.
+std::vector<std::string> Section5SampleQueries();
 
 }  // namespace fro
 

@@ -1,11 +1,13 @@
 // Contract enforcement: misusing the API trips FRO_CHECK with a
 // diagnostic instead of corrupting state. (Status/Result cover the
-// recoverable paths; these are the programming-error paths.)
+// recoverable paths; these are the programming-error paths.) Also the
+// recoverable misuses that must leave an object usable.
 
 #include <gtest/gtest.h>
 
 #include "algebra/eval.h"
 #include "common/status.h"
+#include "lang/model.h"
 #include "relational/database.h"
 
 namespace fro {
@@ -68,6 +70,40 @@ TEST(ApiMisuseDeathTest, RelationRowArity) {
   Database db;
   RelId r = *db.AddRelation("R", {"a", "b"});
   EXPECT_DEATH(db.AddRow(r, {Value::Int(1)}), "arity");
+}
+
+// A rejected registration leaves no trace: the catalog used to register
+// the relation before the duplicate column failed, run one relation
+// ahead of the database, and abort the next AddRelation.
+TEST(ApiMisuseTest, DuplicateColumnNamesLeaveTheDatabaseUsable) {
+  Database db;
+  Result<RelId> dup = db.AddRelation("R", {"a", "a"});
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dup.status().message(), "attribute already registered: R.a");
+  Result<RelId> next = db.AddRelation("S", {"b"});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(db.catalog().num_relations(), 1u);
+  // The rejected name is still free, and an attribute whose qualified
+  // name another relation already holds ("U.v.w" both ways) is refused
+  // up front.
+  ASSERT_TRUE(db.AddRelation("R", {"a"}).ok());
+  ASSERT_TRUE(db.AddRelation("U.v", {"w"}).ok());
+  Result<RelId> clash = db.AddRelation("U", {"v.w"});
+  ASSERT_FALSE(clash.ok());
+  EXPECT_EQ(clash.status().message(), "attribute already registered: U.v.w");
+  EXPECT_TRUE(db.AddRelation("T", {"x", "y"}).ok());
+  EXPECT_EQ(db.catalog().num_relations(), 4u);
+}
+
+TEST(ApiMisuseTest, DuplicateFieldNamesAreRejected) {
+  NestedDb db;
+  const Status dup = db.DefineType(
+      "T", {{"F", FieldDef::Kind::kScalar, ""},
+            {"F", FieldDef::Kind::kSetValued, ""}});
+  EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.FindType("T"), nullptr);
+  EXPECT_TRUE(db.DefineType("T", {{"F", FieldDef::Kind::kScalar, ""}}).ok());
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // example databases, null-heavy outerjoin inputs, empty relations, and
 // batch-boundary input sizes (0, 1, capacity, capacity+1). Also covers
 // the Status-carrying DrainChecked surface (kCancelled /
-// kDeadlineExceeded) and RunQuery's deadline and cancel options.
+// kDeadlineExceeded), its columnar twin DrainColumns, and RunQuery's
+// deadline and cancel options.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "exec/build.h"
 #include "exec/stats_view.h"
 #include "lang/lang.h"
+#include "optimizer/wcoj_rewrite.h"
 #include "testing/datagen.h"
 #include "testing/graphgen.h"
 #include "testing/nested_sample.h"
@@ -462,6 +464,127 @@ TEST_F(BatchEquivTest, DrainCheckedWithoutControlMatchesDrain) {
   ASSERT_TRUE(checked.ok());
   EXPECT_EQ(CanonicalString(*checked),
             CanonicalString(ExecuteBatched(expr, db_)));
+}
+
+// --- DrainColumns: the columnar drain -------------------------------
+
+// How a pipeline hands out its first batch.
+enum class BatchForm { kView, kColumns, kRows };
+
+BatchForm FirstBatchForm(const ExprPtr& expr, const Database& db) {
+  BatchIteratorPtr root = BuildBatchIterator(expr, db, JoinAlgo::kAuto);
+  root->Open();
+  TupleBatch batch;
+  EXPECT_TRUE(root->NextBatch(&batch)) << expr->ToString();
+  const BatchForm form = batch.is_view()    ? BatchForm::kView
+                         : batch.columnar() ? BatchForm::kColumns
+                                            : BatchForm::kRows;
+  root->Close();
+  return form;
+}
+
+// DrainColumns returns DrainChecked's rows, in its order, at every batch
+// capacity.
+void ExpectDrainsAgree(const ExprPtr& expr, const Database& db) {
+  for (size_t capacity : {size_t{1}, size_t{3}, TupleBatch::kDefaultCapacity}) {
+    const std::string context =
+        expr->ToString() + " cap=" + std::to_string(capacity);
+    BatchIteratorPtr row_root =
+        BuildBatchIterator(expr, db, JoinAlgo::kAuto, capacity);
+    Result<Relation> rows = DrainChecked(row_root.get(), nullptr);
+    BatchIteratorPtr column_root =
+        BuildBatchIterator(expr, db, JoinAlgo::kAuto, capacity);
+    Result<ColumnTable> columns = DrainColumns(column_root.get(), nullptr);
+    ASSERT_TRUE(rows.ok() && columns.ok()) << context;
+    EXPECT_EQ(columns->scheme(), rows->scheme()) << context;
+    EXPECT_EQ(columns->NumRows(), rows->NumRows()) << context;
+    EXPECT_EQ(columns->ToRelation().rows(), rows->rows()) << context;
+  }
+}
+
+TEST_F(BatchEquivTest, DrainColumnsMatchesDrainCheckedOnEveryBatchForm) {
+  // A filtered scan: relation-backed views, narrowed by a selection.
+  const ExprPtr filtered =
+      Expr::Restrict(LeafR(), CmpLit(CmpOp::kGe, b_, Value::Int(20)));
+  EXPECT_EQ(FirstBatchForm(filtered, db_), BatchForm::kView);
+  ExpectDrainsAgree(filtered, db_);
+  // A pure equi hash join emits owned columns.
+  const ExprPtr hash_join = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
+  EXPECT_EQ(FirstBatchForm(hash_join, db_), BatchForm::kColumns);
+  ExpectDrainsAgree(hash_join, db_);
+  // GOJ and a residual (non-equi) join fill row slots.
+  const ExprPtr goj =
+      Expr::Goj(LeafR(), LeafS(), EqCols(a_, c_), AttrSet::Of({a_, b_}));
+  EXPECT_EQ(FirstBatchForm(goj, db_), BatchForm::kRows);
+  ExpectDrainsAgree(goj, db_);
+  const ExprPtr residual =
+      Expr::Join(LeafR(), LeafS(), CmpCols(CmpOp::kLt, a_, c_));
+  EXPECT_EQ(FirstBatchForm(residual, db_), BatchForm::kRows);
+  ExpectDrainsAgree(residual, db_);
+  for (const ExprPtr& expr : AllOperatorKinds()) ExpectDrainsAgree(expr, db_);
+}
+
+TEST(BatchDrainColumnsTest, LeapfrogRowsAndMixedColumnsAgree) {
+  // A triangle forced onto leapfrog, whose relations mix ints, doubles,
+  // strings and nulls in one column, so the drained columns demote.
+  Database db;
+  std::vector<RelId> rels;
+  for (int i = 0; i < 3; ++i) {
+    rels.push_back(
+        *db.AddRelation("R" + std::to_string(i), {"a0", "a1", "tag"}));
+  }
+  Rng rng(20261022);
+  for (RelId rel : rels) {
+    for (int row = 0; row < 40; ++row) {
+      const int64_t key = static_cast<int64_t>(rng.Uniform(4));
+      const std::string name = "t" + std::to_string(row);
+      Value tag = rng.Bernoulli(0.2)   ? Value::Null()
+                  : rng.Bernoulli(0.3) ? Value::String(name)
+                  : rng.Bernoulli(0.5) ? Value::Double(row * 0.5)
+                                       : Value::Int(row);
+      db.AddRow(rel, {Value::Int(key), Value::Int((key + row) % 4), tag});
+    }
+  }
+  const ExprPtr triangle = ForceMultiwayJoins(Expr::Join(
+      Expr::Join(Expr::Leaf(rels[0], db), Expr::Leaf(rels[1], db),
+                 EqCols(db.Attr("R0", "a1"), db.Attr("R1", "a0"))),
+      Expr::Leaf(rels[2], db),
+      AndOf(EqCols(db.Attr("R1", "a1"), db.Attr("R2", "a0")),
+            EqCols(db.Attr("R2", "a1"), db.Attr("R0", "a0")))));
+  ASSERT_TRUE(triangle->is_multiway());
+  BatchIteratorPtr root = BuildBatchIterator(triangle, db);
+  EXPECT_GT(DrainBatches(root.get()).NumRows(), 0u);
+  EXPECT_EQ(FirstBatchForm(triangle, db), BatchForm::kRows);
+  ExpectDrainsAgree(triangle, db);
+  ExpectDrainsAgree(Expr::Leaf(rels[0], db), db);
+}
+
+TEST_F(BatchEquivTest, DrainColumnsSurfacesTheSameStatuses) {
+  const ExprPtr expr = Expr::Join(LeafR(), LeafS(), EqCols(a_, c_));
+  auto drain_both = [&](auto arm) {
+    ExecControl row_control;
+    ExecControl column_control;
+    arm(&row_control);
+    arm(&column_control);
+    BatchIteratorPtr row_root = BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+    row_root->SetControl(&row_control);
+    BatchIteratorPtr column_root =
+        BuildBatchIterator(expr, db_, JoinAlgo::kAuto);
+    column_root->SetControl(&column_control);
+    const Status rows = DrainChecked(row_root.get(), &row_control).status();
+    const Status columns =
+        DrainColumns(column_root.get(), &column_control).status();
+    EXPECT_EQ(columns.code(), rows.code());
+    EXPECT_EQ(columns.message(), rows.message());
+    return columns.code();
+  };
+  EXPECT_EQ(drain_both([](ExecControl* control) { control->RequestCancel(); }),
+            StatusCode::kCancelled);
+  EXPECT_EQ(drain_both([](ExecControl* control) {
+              control->set_deadline(std::chrono::steady_clock::now());
+            }),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(drain_both([](ExecControl*) {}), StatusCode::kOk);
 }
 
 // --- RunQuery: counters, deadline, and cancel through RunOptions ------

@@ -1,10 +1,16 @@
 // The cardinality-feedback loop (optimizer/feedback.h): store
-// bookkeeping (EWMA, decay, bounded eviction), the Q-error guard,
+// bookkeeping (EWMA, decay, bounded eviction), snapshots copied on
+// first read (fixed afterwards, safe beside concurrent observers), the
+// Q-error guard,
 // estimator override precedence, plan-cache staleness marking, the
 // re-plan-once protocol, generation-bump invalidation, and the
 // re-planned mispriced chain over exact counters.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "exec/build.h"
 #include "exec/stats_view.h"
@@ -51,6 +57,78 @@ TEST(FeedbackStoreTest, ObserveEwmaAndSnapshot) {
   EXPECT_EQ(snapshot.Lookup(999), nullptr);
   store.Observe(1, 100, 30.0, 100.0);
   EXPECT_DOUBLE_EQ(*snapshot.Lookup(100), 30.0);
+}
+
+// A snapshot copies the store on its first read, so a plan-cache hit,
+// which never reads it, copies nothing; from then on it stays fixed
+// whatever happens to the store.
+TEST(FeedbackStoreTest, SnapshotIsTakenAtItsFirstRead) {
+  FeedbackStore store;
+  store.Observe(1, 100, 1.0, 10.0);
+  CardinalityFeedback snapshot = store.Snapshot();
+  store.Observe(1, 101, 1.0, 20.0);  // before the first read: seen
+  ASSERT_NE(snapshot.Lookup(101), nullptr);
+  EXPECT_DOUBLE_EQ(*snapshot.Lookup(101), 20.0);
+  EXPECT_EQ(snapshot.size(), 2u);
+  // A pending snapshot of the store itself merges without deadlocking.
+  store.Merge(store.Snapshot());
+  EXPECT_EQ(store.stats().merged, 2u);
+}
+
+TEST(FeedbackStoreTest, ReadSnapshotStaysFixedAcrossObserveEvictionClear) {
+  FeedbackOptions options;
+  options.capacity = 2;
+  FeedbackStore store(options);
+  store.Observe(1, 100, 1.0, 10.0);
+  store.Observe(1, 101, 1.0, 20.0);
+  const CardinalityFeedback snapshot = store.Snapshot();
+  ASSERT_EQ(snapshot.size(), 2u);  // the first read takes the copy
+
+  store.Observe(1, 100, 10.0, 50.0);  // the store's 100 moves to 30
+  EXPECT_DOUBLE_EQ(*store.CorrectedRows(100), 30.0);
+  store.Observe(1, 102, 1.0, 5.0);  // over capacity: one entry evicted
+  EXPECT_GE(store.stats().evictions, 1u);
+  store.Clear();
+  EXPECT_EQ(store.stats().size, 0u);
+
+  EXPECT_EQ(snapshot.size(), 2u);
+  ASSERT_NE(snapshot.Lookup(100), nullptr);
+  EXPECT_DOUBLE_EQ(*snapshot.Lookup(100), 10.0);
+  ASSERT_NE(snapshot.Lookup(101), nullptr);
+  EXPECT_DOUBLE_EQ(*snapshot.Lookup(101), 20.0);
+  EXPECT_EQ(snapshot.Lookup(102), nullptr);
+}
+
+// Four threads observe, snapshot and look up at once (run under TSan in
+// CI). Each thread observes only its own constant, so every snapshot,
+// whichever observations it caught, reads that constant or nothing.
+TEST(FeedbackStoreTest, ConcurrentObserveSnapshotLookup) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kOpsPerThread = 50;
+  FeedbackStore store;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, &wrong, t] {
+      const double rows = t + 1;
+      for (uint64_t i = 0; i < 400; ++i) {
+        const uint64_t op = 1000 * static_cast<uint64_t>(t) + i % kOpsPerThread;
+        store.Observe(static_cast<uint64_t>(t), op, 1.0, rows);
+        const CardinalityFeedback snapshot = store.Snapshot();
+        const double* own = snapshot.Lookup(op);
+        if (own == nullptr || *own != rows) ++wrong;
+        const uint64_t other = (t + 1) % kThreads;
+        const double* theirs =
+            snapshot.Lookup(1000 * other + i % kOpsPerThread);
+        if (theirs != nullptr && *theirs != static_cast<double>(other + 1)) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(store.stats().size, kThreads * kOpsPerThread);
 }
 
 TEST(FeedbackStoreTest, WeightDecaysWithoutReobservation) {

@@ -20,42 +20,6 @@
 namespace fro {
 namespace {
 
-/// The 14 Section-5 queries of the planning and serving workloads: six
-/// cheap ones, then five- and seven-way self-joins.
-std::vector<std::string> Section5Queries() {
-  const std::string five =
-      "Select All From EMPLOYEE E1, DEPARTMENT D1, EMPLOYEE E2, "
-      "DEPARTMENT D2, EMPLOYEE E3 "
-      "Where E1.D# = D1.D# and E2.D# = D1.D# and E2.Rank = E3.Rank "
-      "and E3.D# = D2.D#";
-  const std::string seven =
-      "Select All From EMPLOYEE E1, DEPARTMENT D1, EMPLOYEE E2, "
-      "DEPARTMENT D2, EMPLOYEE E3, DEPARTMENT D3, EMPLOYEE E4 "
-      "Where E1.D# = D1.D# and E2.D# = D1.D# and E2.Rank = E3.Rank "
-      "and E3.D# = D2.D# and E4.D# = D2.D# and E4.Rank = E1.Rank "
-      "and D3.D# = E3.D#";
-  return {
-      "Select All From EMPLOYEE*ChildName, DEPARTMENT "
-      "Where EMPLOYEE.D# = DEPARTMENT.D#",
-      "Select All From DEPARTMENT-->Manager-->Audit",
-      "Select All From DEPARTMENT-->Manager*ChildName "
-      "Where DEPARTMENT.Location = 'Zurich'",
-      "Select All From EMPLOYEE Where EMPLOYEE.Rank = 12",
-      "Select All From EMPLOYEE*ChildName, DEPARTMENT-->Secretary "
-      "Where EMPLOYEE.D# = DEPARTMENT.D#",
-      "Select EMPLOYEE.Rank, DEPARTMENT.Location From EMPLOYEE, DEPARTMENT "
-      "Where EMPLOYEE.D# = DEPARTMENT.D#",
-      five,
-      five + " and D1.Location = 'Queretaro'",
-      five + " and D1.Location = 'Lisbon'",
-      seven,
-      seven + " and D3.Location = 'Zurich'",
-      seven + " and D3.Location = 'Osaka'",
-      seven + " and D3.Location = 'Toronto'",
-      seven + " and D3.Location = 'Paris'",
-  };
-}
-
 QueryRunResult MustRun(const NestedDb& db, const std::string& text) {
   Result<QueryRunResult> run = RunQuery(db, text);
   EXPECT_TRUE(run.ok()) << text << ": " << run.status().ToString();
@@ -135,7 +99,7 @@ TEST(FlattenTest, SecondRunOfEachQueryBuildsNothing) {
     SCOPED_TRACE("scale " + std::to_string(scale));
     NestedDb db =
         scale == 1 ? MakeCompanyNestedDb() : MakeScaledCompanyNestedDb(scale);
-    for (const std::string& text : Section5Queries()) {
+    for (const std::string& text : Section5SampleQueries()) {
       SCOPED_TRACE(text);
       QueryRunResult first = MustRun(db, text);
       const std::map<std::string, Built> warm = BuiltState(db, true);
@@ -215,7 +179,7 @@ TEST(FlattenTest, DefineTypeStartsANewVersion) {
 TEST(FlattenTest, ConcurrentFirstUseBuildsEachOnce) {
   constexpr int kScale = 2;
   constexpr int kThreads = 4;
-  const std::vector<std::string> queries = Section5Queries();
+  const std::vector<std::string> queries = Section5SampleQueries();
 
   // The reference: one thread, one fresh database.
   NestedDb serial = MakeScaledCompanyNestedDb(kScale);

@@ -236,7 +236,9 @@ TEST(PrettyTest, PinnedTable) {
 
 // --- differential test against the reference -------------------------------
 
-enum class ColumnKind { kInt, kDouble, kAscii, kUtf8, kMixed };
+// kMixed draws any kind per cell; kNumeric draws an int or a double, so
+// its column is generic without holding a string.
+enum class ColumnKind { kInt, kDouble, kAscii, kUtf8, kMixed, kNumeric };
 
 Value RandomValue(ColumnKind kind, Rng* rng) {
   static const char* const kAscii[] = {"", "a", "ab", "x y", "Research",
@@ -248,6 +250,8 @@ Value RandomValue(ColumnKind kind, Rng* rng) {
   if (rng->Bernoulli(0.15)) return Value::Null();
   if (kind == ColumnKind::kMixed) {
     kind = static_cast<ColumnKind>(rng->Uniform(4));
+  } else if (kind == ColumnKind::kNumeric) {
+    kind = static_cast<ColumnKind>(rng->Uniform(2));
   }
   switch (kind) {
     case ColumnKind::kInt:
@@ -263,6 +267,7 @@ Value RandomValue(ColumnKind kind, Rng* rng) {
       return Value::String(kAscii[rng->Uniform(std::size(kAscii))]);
     case ColumnKind::kUtf8:
     case ColumnKind::kMixed:
+    case ColumnKind::kNumeric:
       return Value::String(kUtf8[rng->Uniform(std::size(kUtf8))]);
   }
   return Value::Null();
@@ -281,7 +286,7 @@ Relation RandomRelation(Database* db, int index, Rng* rng) {
   }
   std::vector<ColumnKind> kinds;
   for (size_t c = 0; c < ncols; ++c) {
-    kinds.push_back(static_cast<ColumnKind>(rng->Uniform(5)));
+    kinds.push_back(static_cast<ColumnKind>(rng->Uniform(6)));
   }
   const uint64_t shape = rng->Uniform(4);
   const size_t nrows = shape == 0 ? 0 : shape == 1 ? 1 : rng->Uniform(81);
@@ -298,12 +303,17 @@ Relation RandomRelation(Database* db, int index, Rng* rng) {
   return Relation(Scheme(cols), std::move(rows));
 }
 
+// Both entries — PrettyTable of a Relation, and PrettyLayout of the
+// ColumnTable the server drains — against the reference; the layout's
+// measured size must be the written size.
 TEST(PrettyDifferentialTest, MatchesReferenceByteForByte) {
   Rng rng(20261017);
   Database db;
   const size_t kMaxRows[] = {0, 1, 3, 50, static_cast<size_t>(-1)};
   for (int i = 0; i < 300; ++i) {
     const Relation rel = RandomRelation(&db, i, &rng);
+    const ColumnTable table = ColumnTable::FromRelation(rel);
+    ASSERT_EQ(table.ToRelation().rows(), rel.rows()) << "relation " << i;
     const Catalog* catalog = i % 7 == 0 ? nullptr : &db.catalog();
     for (bool canonical : {true, false}) {
       for (size_t max_rows : kMaxRows) {
@@ -319,6 +329,11 @@ TEST(PrettyDifferentialTest, MatchesReferenceByteForByte) {
               << " max_rows=" << max_rows << " null_text=" << null_text;
           ASSERT_EQ(PrettyTable(rel, catalog, options, "(footer)\n"),
                     expected + "(footer)\n");
+          const PrettyLayout layout(table, catalog, options);
+          ASSERT_EQ(layout.bytes(), expected.size());
+          ASSERT_EQ(layout.Write(), expected)
+              << "relation " << i << " as columns";
+          ASSERT_EQ(layout.Write("(footer)\n"), expected + "(footer)\n");
         }
       }
     }

@@ -1,6 +1,7 @@
 // End-to-end tests of fro_serve over real loopback sockets: concurrent
 // clients against serial baselines, plan-cache behavior under load,
-// deadlines, cancellation, and admission control.
+// deadlines, cancellation, admission control, and served bytes equal to
+// the in-process rendering.
 
 #include <atomic>
 #include <chrono>
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "lang/lang.h"
+#include "relational/pretty.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "testing/nested_sample.h"
@@ -240,6 +243,41 @@ TEST_F(ServerIntegrationTest, TooManyRelationsKeepsTheConnection) {
   Result<Response> next = client.Query(kWorkload[0]);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_TRUE(next->status.ok()) << next->status.ToString();
+}
+
+// The QUERY verb drains columns and renders them without a row Tuple;
+// each Section-5 query must still be served with exactly the bytes
+// PrettyTable renders for RunQuery's relation. Without a plan cache or
+// feedback the footer's notes match RunQuery's too.
+TEST(ServerColumnarResultTest, Section5QueriesServeRunQueryBytes) {
+  for (int scale : {1, 20}) {
+    const NestedDb db =
+        scale == 1 ? MakeCompanyNestedDb() : MakeScaledCompanyNestedDb(scale);
+    ServerOptions options;
+    options.plan_cache_capacity = 0;
+    options.enable_feedback = false;
+    FroServer server(&db, options);
+    ASSERT_TRUE(server.Start().ok());
+    FroClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    PrettyOptions pretty;
+    pretty.max_rows = static_cast<size_t>(-1);
+    for (const std::string& text : Section5SampleQueries()) {
+      Result<QueryRunResult> local = RunQuery(db, text);
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      const std::string footer = "(" +
+                                 std::to_string(local->relation.NumRows()) +
+                                 " rows; " + local->optimize.Summary() + ")\n";
+      Result<Response> served = client.Query(text);
+      ASSERT_TRUE(served.ok() && served->status.ok()) << text;
+      EXPECT_EQ(served->body,
+                PrettyTable(local->relation,
+                            &local->translation.db->catalog(), pretty,
+                            footer))
+          << "scale " << scale << ": " << text;
+    }
+    server.Stop();
+  }
 }
 
 TEST_F(ServerIntegrationTest, StopWhileClientsConnected) {
